@@ -266,12 +266,8 @@ def _slope_lines(family: MonomialFamily, result, fam_slope: Fraction) -> list[st
 
 def cmd_check(args, doc, payload) -> list[str]:
     family = _monomial_family_or_die(doc)
-    brute = args.command == "oracle"
-    if brute:
-        v = monomial_stability.oracle_verdict(family)
-    else:
-        v = monomial_stability.verdict(family)
-    result = monomial_stability.slope_summary(family, brute=brute)
+    result = monomial_stability.slope_summary(family, brute=args.command == "oracle")
+    v = monomial_stability._classify(family, result)
     fam_slope = monomial_stability.family_slope(family)
     payload["result"] = {
         "verdict": verdict_json(v),

@@ -255,6 +255,25 @@ class PolynomialFamily:
         return self.members[i]
 
 
+FamilyLike = Union[MonomialFamily, PolynomialFamily, Sequence[Polynomial]]
+
+
+def _as_polynomials(family: FamilyLike) -> tuple[list[Polynomial], int]:
+    """Members as polynomials, with their common variable count."""
+    if isinstance(family, MonomialFamily):
+        return [Polynomial.from_monomial(m) for m in family.members], family.variables
+    if isinstance(family, PolynomialFamily):
+        return list(family.members), family.variables
+    polys = list(family)
+    if not polys:
+        raise ValueError("empty family")
+    nvars = polys[0].nvars
+    for p in polys:
+        if p.nvars != nvars:
+            raise ValueError("mixed variable counts in family")
+    return polys, nvars
+
+
 Slope = Fraction
 
 

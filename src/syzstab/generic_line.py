@@ -23,15 +23,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from ._matrix import rational_rank
-from .core import (
-    MonomialFamily,
-    Polynomial,
-    PolynomialFamily,
-    PreconditionError,
-)
+from .core import FamilyLike, Polynomial, PreconditionError, _as_polynomials
 
 _BASE_RANGE = 3
 _DOUBLE_EVERY = 8
@@ -77,20 +72,6 @@ class LineTestResult:
     witness: Optional[LineMap]
     trials_used: int
     notes: tuple[str, ...] = ()
-
-
-FamilyLike = Union[MonomialFamily, PolynomialFamily, Sequence[Polynomial]]
-
-
-def _as_polynomials(family: FamilyLike) -> tuple[list[Polynomial], int]:
-    if isinstance(family, MonomialFamily):
-        return [Polynomial.from_monomial(m) for m in family.members], family.variables
-    if isinstance(family, PolynomialFamily):
-        return list(family.members), family.variables
-    polys = list(family)
-    if not polys:
-        raise ValueError("empty family")
-    return polys, polys[0].nvars
 
 
 def _common_degree(polys: Sequence[Polynomial]) -> int:

@@ -6,21 +6,31 @@ the syzygy sheaf equals the maximum over subfamilies J with |J| >= 2 of
     (deg gcd(J) - sum of degrees over J) / (|J| - 1),
 
 so (semi)stability is decided by comparing that maximum against the slope of
-the full family.  Two engines compute the maximum:
+the full family.  Each extremum (over all subfamilies, and over proper ones)
+comes with a witness: among maximizing subfamilies, the smallest size wins,
+then the lexicographically smallest index tuple.  Two engines compute both:
 
 * ``max_slope_brute_force`` walks all 2^n - n - 1 admissible subsets and is
   the reference oracle (bounded by a configurable ceiling, default 20);
-* ``max_slope`` scans the meet-closure of the family instead.  For a closure
-  element g and a subset size k, the value
+* ``max_slope`` scans the meet-closure of the family once.  For a closure
+  element g, sort the multiples of g by (degree, index); their first k form
+  the candidate S(g, k) of value
 
-      (deg g - sum of the k smallest degrees among multiples of g) / (k - 1)
+      (deg g - sum of the k smallest degrees among multiples of g) / (k - 1).
 
-  dominates every subset with gcd divisible by g and is itself attained by an
-  actual subset, so the maximum over these candidates equals the maximum over
-  all subsets.  The meet-closure is far smaller than 2^n in practice.
+  Candidates compare by value (higher wins), then k (smaller wins), then the
+  sorted index tuple of S(g, k) (smaller wins).
 
-Witness tie-breaking is identical in both engines: among maximizing subsets,
-the smallest size wins, then the lexicographically smallest index tuple.
+The scan is exact.  S(g, k) has a gcd divisible by g, so its slope is at
+least its value, and no value exceeds the maximum.  A maximizing J has
+g = gcd(J) in the closure and consists of multiples of g, so its slope is at
+most the value of (g, |J|): the best value is the maximum, and J has the
+least degree sum of any |J| multiples of g.  When S(g, k) reaches the
+maximum, a gcd larger than g would beat it, so its gcd is exactly g and
+S(g, k) is itself a maximizer.  Among the k-subsets of multiples of g with
+least degree sum, S(g, k) has the smallest index tuple, so the best candidate
+is the witness.  Restricting to k < n gives the proper extremum.
+The meet-closure is far smaller than 2^n in practice.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -129,109 +140,28 @@ def _brute_extrema(vectors: Sequence[Vec], degrees: Sequence[int]) -> _Extrema:
     return _Extrema(best[0], best[1], proper[0], proper[1])
 
 
-def _candidate_extrema(
-    vectors: Sequence[Vec], degrees: Sequence[int]
-) -> tuple[Fraction, int, Optional[Fraction], Optional[int]]:
-    """Best slope values and the minimal achieving subset sizes.
-
-    Returns (max value, min size achieving it, max proper value, min proper
-    size); the proper pair is None when n = 2.
-    """
-    n = len(vectors)
-    best_val: Optional[Fraction] = None
-    best_k = 0
-    prop_val: Optional[Fraction] = None
-    prop_k = 0
-    for g in _meet_closure(vectors):
-        gdeg = sum(g)
-        ds = sorted(degrees[i] for i in range(n) if _divides(g, vectors[i]))
-        if len(ds) < 2:
-            continue
-        prefix = ds[0]
-        for k in range(2, len(ds) + 1):
-            prefix += ds[k - 1]
-            val = Fraction(gdeg - prefix, k - 1)
-            if best_val is None or val > best_val or (val == best_val and k < best_k):
-                best_val, best_k = val, k
-            if k < n and (
-                prop_val is None or val > prop_val or (val == prop_val and k < prop_k)
-            ):
-                prop_val, prop_k = val, k
-    assert best_val is not None
-    return best_val, best_k, prop_val, (prop_k if prop_val is not None else None)
-
-
-def _best_fixed_size(
-    pmeet: Optional[Vec], items: Sequence[tuple[Vec, int]], q: int
-) -> Optional[int]:
-    """Max of deg(gcd(pmeet, Q)) - sum of degrees over Q, over |Q| = q subsets.
-
-    ``items`` are (exponent vector, degree) pairs; ``pmeet`` is the gcd of an
-    already-fixed prefix (None for an empty prefix).  Returns None when fewer
-    than q items exist.  Same candidate argument as in the module docstring,
-    restricted to one subset size.
-    """
-    if q == 0:
-        return sum(pmeet) if pmeet is not None else None
-    if len(items) < q:
-        return None
-    us = [e if pmeet is None else _vmeet(pmeet, e) for e, _ in items]
-    degs = [d for _, d in items]
-    best: Optional[int] = None
-    for g in _meet_closure(us):
-        sel = sorted(degs[i] for i in range(len(us)) if _divides(g, us[i]))
-        if len(sel) < q:
-            continue
-        val = sum(g) - sum(sel[:q])
-        if best is None or val > best:
-            best = val
-    return best
-
-
-def _lex_min_subset(
-    vectors: Sequence[Vec], degrees: Sequence[int], k: int, target: Fraction
-) -> tuple[int, ...]:
-    """Lexicographically smallest index set of size k with slope equal to target.
-
-    ``target`` must be the maximal slope over subsets of size k (so feasibility
-    of a prefix is equivalent to its best completion reaching the target).
-    """
-    n = len(vectors)
-    if k == n:
-        return tuple(range(n))
-    chosen: list[int] = []
-    pmeet: Optional[Vec] = None
-    dsum = 0
-    start = 0
-    while len(chosen) < k:
-        placed = False
-        rem_after = k - len(chosen) - 1
-        for i in range(start, n - rem_after):
-            m2 = vectors[i] if pmeet is None else _vmeet(pmeet, vectors[i])
-            s2 = dsum + degrees[i]
-            if rem_after == 0:
-                ok = Fraction(sum(m2) - s2, k - 1) == target
-            else:
-                tail = [(vectors[j], degrees[j]) for j in range(i + 1, n)]
-                bestv = _best_fixed_size(m2, tail, rem_after)
-                ok = bestv is not None and Fraction(bestv - s2, k - 1) == target
-            if ok:
-                chosen.append(i)
-                pmeet, dsum, start = m2, s2, i + 1
-                placed = True
-                break
-        if not placed:
-            raise RuntimeError("no witness of the requested size reaches the target slope")
-    return tuple(chosen)
-
-
 def _pruned_extrema(vectors: Sequence[Vec], degrees: Sequence[int]) -> _Extrema:
-    best_val, best_k, prop_val, prop_k = _candidate_extrema(vectors, degrees)
-    max_idx = _lex_min_subset(vectors, degrees, best_k, best_val)
-    if prop_val is None:
-        return _Extrema(best_val, max_idx, None, None)
-    prop_idx = _lex_min_subset(vectors, degrees, prop_k, prop_val)
-    return _Extrema(best_val, max_idx, prop_val, prop_idx)
+    """Both extrema and their witnesses from one scan of the meet closure."""
+    n = len(vectors)
+    best = None  # ((slope, -size), indices) of the best proper candidate
+    for g in _meet_closure(vectors):
+        ranked = sorted((degrees[i], i) for i in range(n) if _divides(g, vectors[i]))
+        excess = sum(g) - ranked[0][0]
+        for k in range(2, min(len(ranked), n - 1) + 1):
+            excess -= ranked[k - 1][0]
+            key = (Fraction(excess, k - 1), -k)
+            if best is None or key >= best[0]:
+                indices = tuple(sorted(i for _, i in ranked[:k]))
+                if best is None or key > best[0] or indices < best[1]:
+                    best = (key, indices)
+    whole = Fraction(sum(reduce(_vmeet, vectors)) - sum(degrees), n - 1)
+    everything = tuple(range(n))
+    if best is None:
+        return _Extrema(whole, everything, None, None)
+    (proper, _), proper_indices = best
+    if proper >= whole:
+        return _Extrema(proper, proper_indices, proper, proper_indices)
+    return _Extrema(whole, everything, proper, proper_indices)
 
 
 def _oracle_ceiling(explicit: Optional[int]) -> int:
@@ -248,16 +178,32 @@ def _oracle_ceiling(explicit: Optional[int]) -> int:
         )
 
 
-def _result_from_extrema(family: MonomialFamily, ext: _Extrema) -> MaxSlopeResult:
+def _summary(
+    family: MonomialFamily, brute: bool, ceiling: Optional[int] = None
+) -> MaxSlopeResult:
+    """Extrema and witnesses from one run of the selected engine.
+
+    The exhaustive engine refuses families above the oracle ceiling before
+    enumerating any subset.
+    """
+    vectors, degrees = family.exponent_vectors(), family.degrees()
+    if brute:
+        limit = _oracle_ceiling(ceiling)
+        if len(family) > limit:
+            raise PreconditionError(
+                "oracle-ceiling",
+                f"family of size {len(family)} exceeds the brute-force ceiling {limit}",
+            )
+        ext = _brute_extrema(vectors, degrees)
+    else:
+        ext = _pruned_extrema(vectors, degrees)
     witness = SubsetWitness.for_subset(family, ext.max_indices)
     proper = (
         SubsetWitness.for_subset(family, ext.proper_indices)
         if ext.proper_indices is not None
         else None
     )
-    return MaxSlopeResult(
-        ext.max_slope, witness, ext.proper_slope, proper
-    )
+    return MaxSlopeResult(ext.max_slope, witness, ext.proper_slope, proper)
 
 
 def max_slope_brute_force(
@@ -268,14 +214,7 @@ def max_slope_brute_force(
         raise PreconditionError(
             "primary-family", "the exhaustive slope formula needs a primary family"
         )
-    limit = _oracle_ceiling(ceiling)
-    if len(family) > limit:
-        raise PreconditionError(
-            "oracle-ceiling",
-            f"family of size {len(family)} exceeds the brute-force ceiling {limit}",
-        )
-    ext = _brute_extrema(family.exponent_vectors(), family.degrees())
-    return _result_from_extrema(family, ext)
+    return _summary(family, brute=True, ceiling=ceiling)
 
 
 def max_slope(family: MonomialFamily) -> MaxSlopeResult:
@@ -284,8 +223,7 @@ def max_slope(family: MonomialFamily) -> MaxSlopeResult:
         raise PreconditionError(
             "primary-family", "the maximal slope formula needs a primary family"
         )
-    ext = _pruned_extrema(family.exponent_vectors(), family.degrees())
-    return _result_from_extrema(family, ext)
+    return _summary(family, brute=False)
 
 
 def _reduction_is_primary(family: MonomialFamily) -> bool:
@@ -310,26 +248,24 @@ def _reduction_is_primary(family: MonomialFamily) -> bool:
     return True
 
 
-def _classify(family: MonomialFamily, brute: bool) -> StabilityVerdict:
-    n = len(family)
-    if n == 2:
+def _classify(family: MonomialFamily, summary: MaxSlopeResult) -> StabilityVerdict:
+    """Verdict from the family's subset-slope extrema, computed once by the caller."""
+    if len(family) == 2:
         return StabilityVerdict(VerdictKind.STABLE, None, ("rank-one",))
-    vectors, degrees = family.exponent_vectors(), family.degrees()
-    ext = _brute_extrema(vectors, degrees) if brute else _pruned_extrema(vectors, degrees)
     fam = family_slope(family)
-    assert ext.proper_slope is not None and ext.proper_indices is not None
-    witness = SubsetWitness.for_subset(family, ext.proper_indices)
+    proper, witness = summary.max_proper_slope, summary.proper_witness
+    assert proper is not None and witness is not None
     primary = is_primary(family)
     if primary or _reduction_is_primary(family):
         notes = ("subset-slope-criterion",)
         if not primary:
             notes = ("common-factor-reduction",) + notes
-        if ext.proper_slope > fam:
+        if proper > fam:
             return StabilityVerdict(VerdictKind.UNSTABLE, witness, notes)
-        if ext.proper_slope == fam:
+        if proper == fam:
             return StabilityVerdict(VerdictKind.SEMISTABLE_NOT_STABLE, witness, notes)
         return StabilityVerdict(VerdictKind.STABLE, None, notes)
-    if ext.proper_slope > fam:
+    if proper > fam:
         return StabilityVerdict(
             VerdictKind.UNSTABLE, witness, ("subset-slope-necessity",)
         )
@@ -346,18 +282,12 @@ def verdict(family: MonomialFamily) -> StabilityVerdict:
     witness.  Other families are declared Unstable when a subfamily violates
     the necessary slope condition, otherwise Inconclusive.
     """
-    return _classify(family, brute=False)
+    return _classify(family, _summary(family, brute=False))
 
 
 def oracle_verdict(family: MonomialFamily, ceiling: Optional[int] = None) -> StabilityVerdict:
     """Same verdict computed with the exhaustive subset engine."""
-    limit = _oracle_ceiling(ceiling)
-    if len(family) > limit:
-        raise PreconditionError(
-            "oracle-ceiling",
-            f"family of size {len(family)} exceeds the brute-force ceiling {limit}",
-        )
-    return _classify(family, brute=True)
+    return _classify(family, _summary(family, brute=True, ceiling=ceiling))
 
 
 def slope_summary(family: MonomialFamily, brute: bool = False) -> MaxSlopeResult:
@@ -366,11 +296,10 @@ def slope_summary(family: MonomialFamily, brute: bool = False) -> MaxSlopeResult
     The subset slope formula describes actual subsheaves for any monomial
     family, so the maximum reported here is always a lower bound for the
     maximal slope, and it is exact whenever the family or its reduction is
-    primary.
+    primary.  With ``brute`` the exhaustive engine is used, subject to the
+    same oracle ceiling as ``oracle_verdict``.
     """
-    vectors, degrees = family.exponent_vectors(), family.degrees()
-    ext = _brute_extrema(vectors, degrees) if brute else _pruned_extrema(vectors, degrees)
-    return _result_from_extrema(family, ext)
+    return _summary(family, brute)
 
 
 def same_degree_profile(family: MonomialFamily) -> dict[Monomial, int]:

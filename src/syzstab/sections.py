@@ -15,24 +15,23 @@ for sheaves of rank 2 and (with a degree hypothesis) rank 3.
 from __future__ import annotations
 
 from math import lcm
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from ._matrix import integer_rank
 from .core import (
+    FamilyLike,
     Monomial,
     MonomialFamily,
     Polynomial,
-    PolynomialFamily,
     PreconditionError,
     SectionWitness,
     StabilityVerdict,
     VerdictKind,
+    _as_polynomials,
     is_primary,
     join,
 )
 from .monomial_stability import degree_vectors
-
-FamilyLike = Union[MonomialFamily, PolynomialFamily, Sequence[Polynomial]]
 
 
 def monomial_basis(N: int, m: int) -> list[Monomial]:
@@ -42,21 +41,6 @@ def monomial_basis(N: int, m: int) -> list[Monomial]:
     if m < 0:
         return []
     return [Monomial(v) for v in degree_vectors(N + 1, m)]
-
-
-def _as_polynomials(family: FamilyLike) -> tuple[list[Polynomial], int]:
-    if isinstance(family, MonomialFamily):
-        return [Polynomial.from_monomial(m) for m in family.members], family.variables
-    if isinstance(family, PolynomialFamily):
-        return list(family.members), family.variables
-    polys = list(family)
-    if not polys:
-        raise ValueError("empty family")
-    nvars = polys[0].nvars
-    for p in polys:
-        if p.nvars != nvars:
-            raise ValueError("mixed variable counts in family")
-    return polys, nvars
 
 
 def _integer_terms(poly: Polynomial) -> list[tuple[int, tuple[int, ...]]]:

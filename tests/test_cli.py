@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from syzstab import monomial_stability
 from syzstab.cli import normalize_document, parse_monomial_text, run
 
 
@@ -122,6 +123,37 @@ def test_oracle_ceiling_env(monkeypatch):
     monkeypatch.setenv("SYZSTAB_ORACLE_CEILING", "25")
     rc, _ = capture(["oracle", "--monomials", "X^2,Y^2,Z^2,X*Y"])
     assert rc == 0
+
+
+def count_engine_runs(monkeypatch) -> dict:
+    calls = {"_pruned_extrema": 0, "_brute_extrema": 0}
+    for name in calls:
+        engine = getattr(monomial_stability, name)
+
+        def counted(*args, _name=name, _engine=engine):
+            calls[_name] += 1
+            return _engine(*args)
+
+        monkeypatch.setattr(monomial_stability, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command, engine", [("check", "_pruned_extrema"), ("oracle", "_brute_extrema")]
+)
+def test_check_runs_the_engine_once(monkeypatch, command, engine):
+    calls = count_engine_runs(monkeypatch)
+    rc, _ = capture([command, "--monomials", "X^4,Y^4,Z^4,X*Y*Z^2,X^2*Y", "--json"])
+    assert rc == 0
+    assert calls[engine] == 1 and sum(calls.values()) == 1
+
+
+def test_oracle_over_ceiling_runs_no_engine(monkeypatch):
+    calls = count_engine_runs(monkeypatch)
+    monkeypatch.setenv("SYZSTAB_ORACLE_CEILING", "3")
+    rc, _ = capture(["oracle", "--monomials", "X^2,Y^2,Z^2,X*Y", "--json"])
+    assert rc == 2
+    assert calls == {"_pruned_extrema": 0, "_brute_extrema": 0}
 
 
 def test_sections_command():

@@ -3,9 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from syzstab.core import Monomial, MonomialFamily, PreconditionError, VerdictKind, is_primary
 from syzstab.monomial_stability import (
+    _brute_extrema,
+    _pruned_extrema,
     all_monomials_family,
     family_slope,
     four_monomial_check,
@@ -14,6 +18,7 @@ from syzstab.monomial_stability import (
     oracle_verdict,
     powers_check,
     same_degree_check,
+    slope_summary,
     subset_slope,
     verdict,
 )
@@ -83,6 +88,51 @@ def test_max_slope_requires_primary():
 def test_oracle_ceiling():
     with pytest.raises(PreconditionError):
         max_slope_brute_force(all_monomials_family(2, 5), ceiling=10)
+
+
+def test_slope_summary_brute_respects_oracle_ceiling(monkeypatch):
+    monkeypatch.delenv("SYZSTAB_ORACLE_CEILING", raising=False)
+    family = all_monomials_family(2, 5)  # 21 members, one above the default ceiling
+    with pytest.raises(PreconditionError) as info:
+        slope_summary(family, brute=True)
+    assert info.value.criterion == "oracle-ceiling"
+    assert slope_summary(family) == slope_summary(family, brute=False)
+
+
+@st.composite
+def exponent_families(draw):
+    """Primary, arbitrary and equal-degree families of 2-10 distinct members.
+
+    Exponents stay in 0..4 so that degrees repeat and every tie-break fires.
+    """
+    nvars = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["primary", "any", "equal-degree"]))
+    if kind == "equal-degree":
+        d = draw(st.integers(1, 4))
+        vector = st.lists(st.integers(0, nvars - 1), min_size=d, max_size=d).map(
+            lambda picks: tuple(picks.count(j) for j in range(nvars))
+        )
+    else:
+        vector = st.tuples(*[st.integers(0, 4)] * nvars).filter(lambda v: sum(v) > 0)
+    powers = []
+    if kind == "primary":
+        for j, e in enumerate(draw(st.lists(st.integers(1, 4), min_size=nvars, max_size=nvars))):
+            powers.append(tuple(e if i == j else 0 for i in range(nvars)))
+    rest = draw(st.lists(vector, unique=True, max_size=10 - len(powers)))
+    members = list(dict.fromkeys(powers + rest))
+    assume(len(members) >= 2)
+    return draw(st.permutations(members))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(exponent_families())
+def test_pruned_extrema_match_brute_force(vectors):
+    degrees = [sum(v) for v in vectors]
+    fast, slow = _pruned_extrema(vectors, degrees), _brute_extrema(vectors, degrees)
+    assert fast.max_slope == slow.max_slope
+    assert fast.max_indices == slow.max_indices
+    assert fast.proper_slope == slow.proper_slope
+    assert fast.proper_indices == slow.proper_indices
 
 
 def test_oracle_equivalence_randomized():
