@@ -112,15 +112,20 @@ def load_document(args: argparse.Namespace) -> dict:
     return normalize_document(doc)
 
 
+def _json_int(value, field: str) -> int:
+    """``value`` if it is a JSON integer; a bool, float or string is refused
+    rather than truncated, naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def normalize_document(doc) -> dict:
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object")
     if "variables" not in doc:
         raise InputError("document needs a 'variables' field")
-    try:
-        variables = int(doc["variables"])
-    except (TypeError, ValueError):
-        raise InputError("'variables' must be an integer")
+    variables = _json_int(doc["variables"], "'variables'")
     has_mono = "monomials" in doc
     has_poly = "polynomials" in doc
     if has_mono == has_poly:
@@ -133,26 +138,22 @@ def normalize_document(doc) -> dict:
         for vec in vectors:
             if not isinstance(vec, list) or len(vec) != variables:
                 raise InputError(f"exponent vector {vec!r} does not have length {variables}")
-            try:
-                out.append([int(e) for e in vec])
-            except (TypeError, ValueError):
-                raise InputError(f"non-integer exponent in {vec!r}")
+            out.append([_json_int(e, f"exponent in {vec!r}") for e in vec])
         return {"variables": variables, "monomials": out}
     polys = doc["polynomials"]
     if not isinstance(polys, list) or not polys:
         raise InputError("'polynomials' must be a nonempty list")
     out_polys = []
     for entry in polys:
-        if not isinstance(entry, dict) or "terms" not in entry:
+        if not isinstance(entry, dict) or not isinstance(entry.get("terms"), list):
             raise InputError("each polynomial needs a 'terms' list")
         terms = []
         for term in entry["terms"]:
-            try:
-                num, den, vec = term
-                num, den = int(num), int(den)
-                vec = [int(e) for e in vec]
-            except (TypeError, ValueError):
+            if not isinstance(term, list) or len(term) != 3 or not isinstance(term[2], list):
                 raise InputError(f"bad term {term!r}; expected [num, den, exponents]")
+            num = _json_int(term[0], f"'num' of term {term!r}")
+            den = _json_int(term[1], f"'den' of term {term!r}")
+            vec = [_json_int(e, f"exponent in term {term!r}") for e in term[2]]
             if len(vec) != variables:
                 raise InputError(f"exponent vector {vec!r} does not have length {variables}")
             terms.append([num, den, vec])

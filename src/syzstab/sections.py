@@ -6,10 +6,11 @@ its dimension is the nullity of the evaluation map
 
     (+) R_{m - d_i}  ->  R_m,    (a_i) |-> sum a_i f_i,
 
-computed here by fraction-free elimination over the integers.  A section at a
-twist where the sheaf degree is already negative spans a destabilizing line
-subsheaf; absence of sections below the slope bound certifies semistability
-for sheaves of rank 2 and (with a degree hypothesis) rank 3.
+computed here from the exact rank of its integer matrix (``_matrix``).  A
+section at a twist where the sheaf degree is already negative spans a
+destabilizing line subsheaf; absence of sections below the slope bound
+certifies semistability for sheaves of rank 2 and (with a degree hypothesis)
+rank 3.
 """
 
 from __future__ import annotations
@@ -79,7 +80,14 @@ def evaluation_matrix(family: FamilyLike, twist: int) -> list[list[int]]:
 
 
 def syzygy_section_dim(family: FamilyLike, twist: int) -> int:
-    """Dimension of the space of degree-``twist`` syzygies of the family."""
+    """Dimension of the space of degree-``twist`` syzygies of the family.
+
+    The dimension is the number of columns minus the exact rank of the
+    evaluation matrix.  Since rank mod p <= rank over Q <= min(rows, cols)
+    for every prime p, a full rank mod 2 or mod ``_matrix.PRIME`` is the
+    exact rank; Bareiss elimination runs only when neither modular rank is
+    full.
+    """
     rows = evaluation_matrix(family, twist)
     if not rows or not rows[0]:
         return 0

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import sys
 
 import pytest
@@ -60,6 +61,37 @@ def test_normalize_document_validation():
         )
     doc = normalize_document({"variables": 2, "monomials": [[1, 0], [0, 1]]})
     assert doc == {"variables": 2, "monomials": [[1, 0], [0, 1]]}
+
+
+def _poly_doc(term):
+    return {"variables": 2, "polynomials": [{"terms": [term]}, {"terms": [[1, 1, [0, 1]]]}]}
+
+
+# Each non-integer JSON number used to be truncated by int(): 1.5 became 1,
+# 0.1 became a zero coefficient, 2.7 became 2 and true became 1.  A "terms"
+# value that is not a list used to crash with a TypeError.
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"variables": 2.0, "monomials": [[1, 0], [0, 1]]}, "'variables'"),
+        ({"variables": True, "monomials": [[1], [1]]}, "'variables'"),
+        ({"variables": 2, "monomials": [[2.7, 0], [0, 1]]}, "exponent in [2.7, 0]"),
+        ({"variables": 2, "monomials": [[True, 0], [0, 1]]}, "exponent in [True, 0]"),
+        (_poly_doc([1.5, 1, [1, 0]]), "'num' of term"),
+        (_poly_doc([0.1, 1, [1, 0]]), "'num' of term"),
+        (_poly_doc([1, 2.5, [1, 0]]), "'den' of term"),
+        (_poly_doc([1, True, [1, 0]]), "'den' of term"),
+        (_poly_doc([1, 1, [2.7, 0]]), "exponent in term"),
+        (_poly_doc([1, 1, ["1", 0]]), "exponent in term"),
+        ({"variables": 2, "polynomials": [{"terms": 5}]}, "'terms' list"),
+    ],
+)
+def test_malformed_document_fields_are_refused(doc, field, capsys):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        normalize_document(doc)
+    rc, out = capture(["sections", "--twist", "2", "--json"], stdin=json.dumps(doc))
+    assert rc == 1 and out == ""
+    assert field in capsys.readouterr().err
 
 
 def test_check_text_output():

@@ -1,18 +1,23 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from syzstab import _matrix
 from syzstab.core import Monomial, MonomialFamily, Polynomial, PreconditionError, VerdictKind
 from syzstab.sections import (
+    evaluation_matrix,
     min_section_degree_monomial,
     monomial_basis,
     rank2_verdict,
     rank3_verdict,
     syzygy_section_dim,
 )
-from syzstab._matrix import integer_rank
+from syzstab._matrix import PRIME, _bareiss_rank, _rank_mod2, integer_rank
 
 
 def poly(*terms):
@@ -138,8 +143,6 @@ def test_section_dim_monotone_once_positive():
 
 def test_rank_nullity_cross_check():
     # columns = sum of component dimensions; nullity = columns - rank
-    from syzstab.sections import evaluation_matrix
-
     family = TENTH_POWERS + [P_MIXED]
     for m in (11, 12, 13):
         rows = evaluation_matrix(family, m)
@@ -210,6 +213,91 @@ def test_integer_rank_basics():
     assert integer_rank([]) == 0
     # rectangular with dependent columns
     assert integer_rank([[1, 0, 1], [0, 1, 1]]) == 2
+
+
+def test_integer_rank_never_returns_a_deficient_modular_rank():
+    assert integer_rank([[2, 0], [0, 2]]) == 2  # rank 0 mod 2
+    assert integer_rank([[PRIME, 0], [0, 2]]) == 2  # rank 1 mod 2 and mod PRIME
+    assert integer_rank([[PRIME]]) == 1
+    assert integer_rank([[2 * PRIME]]) == 1  # rank 0 mod 2 and mod PRIME
+
+
+def test_modulus_is_prime():
+    # the certificate rank mod p <= rank over Q holds for a prime modulus only
+    assert PRIME > 2 and all(PRIME % d for d in range(2, isqrt(PRIME) + 1))
+
+
+def _grid(entries, nrows, ncols):
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    return st.lists(row, min_size=nrows, max_size=nrows)
+
+
+@st.composite
+def integer_matrices(draw):
+    """0-8 x 0-8 integer matrices whose ranks mod 2 and mod PRIME often fall
+    short: all-even entries, entries that are even or multiples of PRIME,
+    entries beyond 64 bits, and products through 0-3 inner dimensions."""
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    small = st.integers(-3, 3)
+    kind = draw(st.sampled_from(["small", "even", "prime", "huge", "product"]))
+    if kind == "product":
+        k = draw(st.integers(0, 3))
+        left, right = draw(_grid(small, nrows, k)), draw(_grid(small, k, ncols))
+        return [[sum(row[t] * right[t][j] for t in range(k)) for j in range(ncols)] for row in left]
+    entries = {
+        "small": small,
+        "even": small.map(lambda x: 2 * x),
+        "prime": st.one_of(small.map(lambda x: PRIME * x), small.map(lambda x: 2 * x)),
+        "huge": st.builds(lambda a, b: a * 2**70 + b, small, small),
+    }[kind]
+    return draw(_grid(entries, nrows, ncols))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(integer_matrices())
+def test_integer_rank_matches_bareiss(rows):
+    assert integer_rank(rows) == _bareiss_rank(rows)
+
+
+def count_bareiss_runs(monkeypatch) -> list:
+    runs = []
+
+    def counted(rows):
+        runs.append((len(rows), len(rows[0])))
+        return _bareiss_rank(rows)
+
+    monkeypatch.setattr(_matrix, "_bareiss_rank", counted)
+    return runs
+
+
+def test_section_scan_through_the_bareiss_fallback(monkeypatch):
+    # X - Y and Y - Z vanish at (1:1:1) in every characteristic, so from
+    # twist 2 on the evaluation map misses R_m by one dimension mod 2, mod
+    # PRIME and over Q.  The syzygy module is free on the Koszul relation of
+    # degree 2, so the twist-m sections are R_{m-2}.
+    runs = count_bareiss_runs(monkeypatch)
+    family = [poly((1, (1, 0, 0)), (-1, (0, 1, 0))), poly((1, (0, 1, 0)), (-1, (0, 0, 1)))]
+    for m in range(1, 7):
+        assert syzygy_section_dim(family, m) == comb(m, 2)
+    assert len(runs) == 5  # twist 1 maps R_0^2 onto a plane: full rank mod 2
+
+
+def test_rational_family_deficient_mod_2_is_certified_mod_p(monkeypatch):
+    # scaled to integers, X/2 + Y/2 and X/3 - Y/3 become X + Y and X - Y,
+    # equal mod 2; over Q the family is a change of coordinates of (X, Y, Z)
+    runs = count_bareiss_runs(monkeypatch)
+    family = [
+        poly((Fraction(1, 2), (1, 0, 0)), (Fraction(1, 2), (0, 1, 0))),
+        poly((Fraction(1, 3), (1, 0, 0)), (Fraction(-1, 3), (0, 1, 0))),
+        poly((1, (0, 0, 1))),
+    ]
+    coordinates = mono_polys((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for m in range(1, 6):
+        rows = evaluation_matrix(family, m)
+        full = min(len(rows), len(rows[0]))
+        assert _rank_mod2(rows, full) < full
+        assert syzygy_section_dim(family, m) == syzygy_section_dim(coordinates, m)
+    assert runs == []
 
 
 def test_rational_coefficient_family():
