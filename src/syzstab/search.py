@@ -3,21 +3,29 @@
 Candidates are enumerated in descending lexicographic order of exponent
 vectors and n-subsets in lexicographic order of index tuples, so outcomes are
 deterministic.  Partial families are pruned by a necessity check: for each
-gcd nu of an already-chosen subfamily, the subfamily of its multiples has a
-slope that can only grow as members are added, while the family slope can
-only shrink, so a partial violation rules out every completion.  A completed
+gcd g of an already-chosen subfamily, the s chosen multiples of g form a
+subfamily of slope at least (deg g - s*d)/(s - 1), a value that only grows as
+members are added; the family slope of any completion is at most
+(deg gcd(chosen) - n*d)/(n - 1), a cap that only shrinks.  A partial family
+whose largest value beats the cap rules out every completion.  A completed
 family is accepted exactly when the verdict engine certifies it.
+
+The prune state rides down the DFS stack: each node holds the meet closure of
+its chosen members as a map g -> s(g), the running gcd, and the largest value
+so far.  Pushing v bumps s(g) for the elements dividing v, adds v and the new
+meets g ^ v with their counts, and folds only those changed entries into the
+maximum.  That is exact: an unchanged entry keeps its value, and a changed
+one can only rise, so the old maximum is still a lower bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Optional
 
 from .core import MonomialFamily, PreconditionError, VerdictKind, is_primary
-from .monomial_stability import _divides, _meet_closure, _vmeet, degree_vectors, verdict
+from .monomial_stability import degree_vectors, verdict
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -38,6 +46,8 @@ class SearchSpec:
             raise PreconditionError("search-range", "need >= 2 variables and degree >= 1")
         if self.require not in ("semistable", "stable"):
             raise PreconditionError("search-require", "require must be semistable or stable")
+        if self.budget < 1:
+            raise PreconditionError("search-budget", "budget must be at least 1 node")
         available = comb(self.variables - 1 + self.degree, self.variables - 1)
         if not 2 <= self.count <= available:
             raise PreconditionError(
@@ -63,26 +73,56 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _partial_violates(chosen: list[tuple[int, ...]], d: int, n: int) -> bool:
-    """Necessity prune: some chosen subfamily already beats the best possible
-    family slope of any completion.
+class _PathClosure:
+    """Necessity-prune state of one DFS node: immutable, shared by its children.
 
-    The subfamily of multiples of a gcd nu has slope (e - s*d)/(s - 1), which
-    is nondecreasing in s; the final family slope is at most
-    (deg gcd(partial) - n*d)/(n - 1) because the overall gcd only shrinks.
+    ``closure`` maps each gcd g of a nonempty chosen subfamily to s(g), the
+    number of chosen members divisible by g; ``base`` is the gcd of all chosen
+    members; ``num``/``den`` is the largest (deg g - s*d)/(s - 1) over entries
+    with s >= 2 (``den`` is 0 while there is none).
     """
-    if len(chosen) < 2:
-        return False
-    closure = _meet_closure(chosen)
-    base = chosen[0]
-    for v in chosen[1:]:
-        base = _vmeet(base, v)
-    cap = Fraction(sum(base) - n * d, n - 1)
-    for g in closure:
-        s = sum(1 for v in chosen if _divides(g, v))
-        if s >= 2 and Fraction(sum(g) - s * d, s - 1) > cap:
-            return True
-    return False
+
+    __slots__ = ("chosen", "closure", "base", "num", "den")
+
+    def __init__(self, chosen=(), closure=None, base=None, num=0, den=0):
+        self.chosen = chosen
+        self.closure = {} if closure is None else closure
+        self.base = base
+        self.num, self.den = num, den
+
+    def push(self, v: tuple[int, ...], d: int) -> "_PathClosure":
+        """State after choosing the degree-``d`` exponent vector ``v``.
+
+        ``v`` is not yet chosen, so it is new to the closure: a gcd of degree
+        d is a chosen member.
+        """
+        old = self.closure
+        closure = dict(old)
+        closure[v] = 0
+        num, den = self.num, self.den
+        fresh, bumped = [v], []
+        for g in old:
+            m = tuple(map(min, g, v))  # the meet of g and v
+            if m == g:
+                closure[g] = old[g] + 1
+                bumped.append(g)
+            elif m not in closure:
+                closure[m] = 0
+                fresh.append(m)
+        for h in fresh:  # h divides v; count its multiples among the others
+            closure[h] = 1 + sum(1 for c in self.chosen if all(map(int.__le__, h, c)))
+        for g in bumped + fresh:
+            s = closure[g]
+            if s >= 2:
+                a, b = sum(g) - s * d, s - 1
+                if den == 0 or a * den > num * b:
+                    num, den = a, b
+        base = v if self.base is None else tuple(map(min, self.base, v))
+        return _PathClosure(self.chosen + (v,), closure, base, num, den)
+
+    def violates(self, d: int, n: int) -> bool:
+        """Some chosen subfamily beats the family slope cap of every completion."""
+        return self.den > 0 and self.num * (n - 1) > (sum(self.base) - n * d) * self.den
 
 
 def find_semistable_family(spec: SearchSpec, prune: bool = True) -> SearchResult:
@@ -107,11 +147,12 @@ def find_semistable_family(spec: SearchSpec, prune: bool = True) -> SearchResult
     nodes = 0
     found: Optional[MonomialFamily] = None
 
-    def visit(chosen_idx: list[int], chosen: list[tuple[int, ...]], start: int) -> bool:
+    def visit(chosen_idx: list[int], state: _PathClosure, start: int) -> bool:
         nonlocal nodes, found
-        nodes += 1
-        if nodes > spec.budget:
+        if nodes >= spec.budget:
             raise _BudgetExceeded
+        nodes += 1
+        chosen = state.chosen
         if len(chosen) == n:
             family = MonomialFamily.from_exponents(chosen, spec.variables)
             if spec.primary_only and not is_primary(family):
@@ -127,17 +168,20 @@ def find_semistable_family(spec: SearchSpec, prune: bool = True) -> SearchResult
             if any(i < start for i in missing) or len(missing) > slots:
                 return False
         for i in range(start, total - slots + 1):
+            if prune:
+                child = state.push(monos[i], spec.degree)
+                if child.violates(spec.degree, n):
+                    continue
+            else:  # carry the members only
+                child = _PathClosure(chosen + (monos[i],))
             chosen_idx.append(i)
-            chosen.append(monos[i])
-            if not (prune and _partial_violates(chosen, spec.degree, n)):
-                if visit(chosen_idx, chosen, i + 1):
-                    return True
+            if visit(chosen_idx, child, i + 1):
+                return True
             chosen_idx.pop()
-            chosen.pop()
         return False
 
     try:
-        if visit([], [], 0):
+        if visit([], _PathClosure(), 0):
             return SearchResult(SearchStatus.FOUND, found, nodes)
         return SearchResult(SearchStatus.EXHAUSTED, None, nodes)
     except _BudgetExceeded:

@@ -1,10 +1,48 @@
+import io
+from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from syzstab.cli import run
 from syzstab.core import PreconditionError, VerdictKind, is_primary
-from syzstab.monomial_stability import oracle_verdict, verdict
-from syzstab.search import SearchSpec, SearchStatus, find_semistable_family
+from syzstab.monomial_stability import (
+    _divides,
+    _meet_closure,
+    _vmeet,
+    degree_vectors,
+    oracle_verdict,
+    verdict,
+)
+from syzstab.search import (
+    SearchSpec,
+    SearchStatus,
+    _PathClosure,
+    find_semistable_family,
+)
+
+
+def _partial_violates(chosen, d, n):
+    """From-scratch necessity prune, the oracle of the state carried by the DFS.
+
+    The subfamily of multiples of a gcd nu has slope (e - s*d)/(s - 1), which
+    is nondecreasing in s; the final family slope is at most
+    (deg gcd(partial) - n*d)/(n - 1) because the overall gcd only shrinks.
+    """
+    if len(chosen) < 2:
+        return False
+    closure = _meet_closure(chosen)
+    base = chosen[0]
+    for v in chosen[1:]:
+        base = _vmeet(base, v)
+    cap = Fraction(sum(base) - n * d, n - 1)
+    for g in closure:
+        s = sum(1 for v in chosen if _divides(g, v))
+        if s >= 2 and Fraction(sum(g) - s * d, s - 1) > cap:
+            return True
+    return False
 
 
 def test_two_variable_consecutive_family_is_found():
@@ -53,6 +91,71 @@ def test_budget_exceeded():
     result = find_semistable_family(SearchSpec(variables=3, degree=4, count=8, budget=3))
     assert result.status == SearchStatus.BUDGET_EXCEEDED
     assert result.family is None
+    assert result.nodes == 3
+
+
+def test_budget_counts_explored_nodes_only():
+    full = find_semistable_family(SearchSpec(3, 4, 5))
+    assert full.status == SearchStatus.FOUND
+    exact = find_semistable_family(SearchSpec(3, 4, 5, budget=full.nodes))
+    assert exact == full
+    short = find_semistable_family(SearchSpec(3, 4, 5, budget=full.nodes - 1))
+    assert short.status == SearchStatus.BUDGET_EXCEEDED
+    assert short.nodes == full.nodes - 1
+
+
+@pytest.mark.parametrize("budget", [0, -7])
+def test_budget_below_one_is_rejected(budget):
+    with pytest.raises(PreconditionError) as exc:
+        SearchSpec(variables=3, degree=4, count=5, budget=budget)
+    assert exc.value.criterion == "search-budget"
+    argv = ["search", "--vars", "3", "--degree", "4", "--count", "5", "--budget", str(budget)]
+    assert run(argv, stdout=io.StringIO()) == 2
+
+
+# (variables, degree, count, require, primary_only) -> (status, nodes) of the
+# four heaviest vetted benchmark specs; a prune that stays sound but loses
+# exactness changes these counts.
+@pytest.mark.parametrize(
+    "spec, nodes",
+    [
+        ((3, 5, 6, "stable", True), 2794),
+        ((3, 6, 6, "stable", True), 2338),
+        ((3, 6, 8, "semistable", True), 355),
+        ((3, 8, 30, "semistable", False), 41),
+    ],
+)
+def test_pinned_node_counts(spec, nodes):
+    variables, degree, count, require, primary_only = spec
+    result = find_semistable_family(
+        SearchSpec(variables, degree, count, require=require, primary_only=primary_only)
+    )
+    assert (result.status, result.nodes) == (SearchStatus.FOUND, nodes)
+
+
+@st.composite
+def push_sequences(draw):
+    variables = draw(st.integers(2, 4))
+    degree = draw(st.integers(1, 6))
+    monos = list(degree_vectors(variables, degree))
+    n = draw(st.integers(2, min(10, len(monos))))
+    chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=n, unique=True))
+    return degree, n, chosen
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(push_sequences())
+def test_path_closure_matches_from_scratch_prune(case):
+    d, n, sequence = case
+    state = _PathClosure()
+    for k, v in enumerate(sequence, start=1):
+        state = state.push(v, d)
+        chosen = sequence[:k]
+        assert state.chosen == tuple(chosen)
+        assert set(state.closure) == set(_meet_closure(chosen))
+        for g, s in state.closure.items():
+            assert s == sum(1 for c in chosen if _divides(g, c))
+        assert state.violates(d, n) == _partial_violates(chosen, d, n)
 
 
 def test_spec_validation():
@@ -75,6 +178,28 @@ def test_pruning_skips_no_acceptable_family():
                 assert (
                     pruned.family.exponent_vectors() == plain.family.exponent_vectors()
                 )
+
+
+# (variables, degree) with at most 10 monomials, so the unpruned search stays small
+SMALL_RANGES = [(2, d) for d in range(1, 10)] + [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
+
+
+@st.composite
+def small_specs(draw):
+    variables, degree = draw(st.sampled_from(SMALL_RANGES))
+    count = draw(st.integers(2, comb(variables - 1 + degree, degree)))
+    require = draw(st.sampled_from(["semistable", "stable"]))
+    return SearchSpec(variables, degree, count, require=require, primary_only=draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_specs())
+def test_prune_is_sound_property(spec):
+    pruned = find_semistable_family(spec, prune=True)
+    plain = find_semistable_family(spec, prune=False)
+    assert pruned.status == plain.status
+    assert pruned.family == plain.family
+    assert pruned.nodes <= plain.nodes
 
 
 def test_determinism():
