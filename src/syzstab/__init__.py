@@ -7,7 +7,6 @@ from .core import (
     PolynomialFamily,
     PreconditionError,
     SectionWitness,
-    Slope,
     StabilityVerdict,
     SubsetWitness,
     VerdictKind,

@@ -28,6 +28,7 @@ from .core import (
     SectionWitness,
     StabilityVerdict,
     SubsetWitness,
+    _as_polynomials,
 )
 from . import generic_line, monomial_stability, numeric_bounds, search, sections
 
@@ -93,9 +94,9 @@ def parse_monomial_list(text: str, variables: Optional[int]) -> dict:
 
 def load_document(args: argparse.Namespace) -> dict:
     """Normalized FamilyDocument from --monomials, --file or stdin."""
-    if getattr(args, "monomials", None):
-        return parse_monomial_list(args.monomials, getattr(args, "vars", None))
-    if getattr(args, "file", None):
+    if args.monomials:
+        return parse_monomial_list(args.monomials, args.vars)
+    if args.file:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
                 raw = fh.read()
@@ -198,8 +199,6 @@ def frac_json(value: Fraction) -> dict:
 
 def frac_text(value: Fraction) -> str:
     f = Fraction(value)
-    if f.denominator == 1:
-        return f"{f.numerator} ({float(f):g})"
     return f"{f} ({float(f):g})"
 
 
@@ -242,58 +241,55 @@ def payload_dump(payload: dict) -> str:
 
 # ---------------------------------------------------------------------------
 # commands
+#
+# Each handler takes the parsed arguments and returns (input, result, text
+# lines): the normalized input echoed under "input", the "result" object of
+# the --json payload, and the lines of the text output.
 
-def _monomial_family_or_die(doc: dict) -> MonomialFamily:
+def _verdict_line(label: str, v: StabilityVerdict) -> str:
+    return f"{label}: {v.kind.value} [{', '.join(v.notes)}]"
+
+
+def _subset_text(family: MonomialFamily, w: SubsetWitness) -> str:
+    return f"{list(w.indices)} = {monomial_names(family, w.indices)}"
+
+
+def cmd_check(args):
+    doc = load_document(args)
     family = family_from_document(doc)
     if not isinstance(family, MonomialFamily):
         raise PreconditionError("monomial-family", "this command needs a monomial family")
-    return family
-
-
-def _slope_lines(family: MonomialFamily, result, fam_slope: Fraction) -> list[str]:
-    lines = [f"family slope: {frac_text(fam_slope)}"]
-    lines.append(
-        f"max subset slope: {frac_text(result.max_slope)} at "
-        f"{list(result.witness.indices)} = {monomial_names(family, result.witness.indices)}"
-    )
-    if result.max_proper_slope is not None:
-        pw = result.proper_witness
-        lines.append(
-            f"max proper subset slope: {frac_text(result.max_proper_slope)} at "
-            f"{list(pw.indices)} = {monomial_names(family, pw.indices)}"
-        )
-    return lines
-
-
-def cmd_check(args, doc, payload) -> list[str]:
-    family = _monomial_family_or_die(doc)
     result = monomial_stability.slope_summary(family, brute=args.command == "oracle")
     v = monomial_stability._classify(family, result)
     fam_slope = monomial_stability.family_slope(family)
-    payload["result"] = {
+    proper, pw = result.max_proper_slope, result.proper_witness
+    out = {
         "verdict": verdict_json(v),
         "family_slope": frac_json(fam_slope),
         "max_slope": frac_json(result.max_slope),
         "max_slope_witness": witness_json(result.witness),
-        "max_proper_slope": (
-            frac_json(result.max_proper_slope)
-            if result.max_proper_slope is not None
-            else None
-        ),
-        "proper_witness": witness_json(result.proper_witness),
+        "max_proper_slope": None if proper is None else frac_json(proper),
+        "proper_witness": witness_json(pw),
     }
-    lines = [f"verdict: {v.kind.value} [{', '.join(v.notes)}]"]
-    lines += _slope_lines(family, result, fam_slope)
+    lines = [
+        _verdict_line("verdict", v),
+        f"family slope: {frac_text(fam_slope)}",
+        f"max subset slope: {frac_text(result.max_slope)} at "
+        + _subset_text(family, result.witness),
+    ]
+    if proper is not None:
+        lines.append(f"max proper subset slope: {frac_text(proper)} at {_subset_text(family, pw)}")
     if isinstance(v.witness, SubsetWitness):
         w = v.witness
         lines.append(
-            f"witness subfamily: {list(w.indices)} = {monomial_names(family, w.indices)}, "
+            f"witness subfamily: {_subset_text(family, w)}, "
             f"gcd {w.gcd_monomial} (degree {w.gcd_degree}), slope {frac_text(w.slope)}"
         )
-    return lines
+    return doc, out, lines
 
 
-def cmd_sections(args, doc, payload) -> list[str]:
+def cmd_sections(args):
+    doc = load_document(args)
     family = family_from_document(doc)
     if args.twist is None:
         raise PreconditionError("twist-required", "sections needs --twist")
@@ -304,16 +300,12 @@ def cmd_sections(args, doc, payload) -> list[str]:
         mindeg = sections.min_section_degree_monomial(family)
         result["min_section_degree"] = mindeg
         lines.append(f"smallest twist with a section: {mindeg}")
-    payload["result"] = result
-    return lines
+    return doc, result, lines
 
 
-def cmd_lowrank(args, doc, payload) -> list[str]:
-    family = family_from_document(doc)
-    if isinstance(family, MonomialFamily):
-        polys = [Polynomial.from_monomial(m) for m in family.members]
-    else:
-        polys = list(family.members)
+def cmd_lowrank(args):
+    doc = load_document(args)
+    polys, _ = _as_polynomials(family_from_document(doc))
     if len(polys) == 3:
         v = sections.rank2_verdict(*polys)
         rank = 2
@@ -324,47 +316,49 @@ def cmd_lowrank(args, doc, payload) -> list[str]:
         raise PreconditionError(
             "lowrank-size", "the low-rank criteria need exactly 3 or 4 members"
         )
-    payload["result"] = {"rank": rank, "verdict": verdict_json(v)}
-    lines = [f"rank-{rank} verdict: {v.kind.value} [{', '.join(v.notes)}]"]
+    lines = [_verdict_line(f"rank-{rank} verdict", v)]
     if isinstance(v.witness, SectionWitness):
         w = v.witness
         lines.append(
             f"destabilizing section at twist {w.twist}: dimension {w.section_dim}, "
             f"twisted sheaf degree {w.sheaf_degree}"
         )
-    return lines
+    return doc, {"rank": rank, "verdict": verdict_json(v)}, lines
 
 
-def _degrees_for(args, payload) -> tuple[list[int], Optional[int]]:
-    """Degrees and dimension N from --degrees/--vars or from a family document."""
-    if getattr(args, "degrees", None):
+def _degrees_for(args, need_vars: bool = True):
+    """(input, degrees, dimension N, family) from --degrees/--vars or a document.
+
+    The family is None for --degrees, where N is unknown without --vars: a
+    violated precondition when ``need_vars``.
+    """
+    if args.degrees:
         degrees = parse_degrees(args.degrees)
-        variables = getattr(args, "vars", None)
-        payload["input"] = {"degrees": degrees, "variables": variables}
-        return degrees, (variables - 1 if variables else None)
+        N = args.vars - 1 if args.vars else None
+        if N is None and need_vars:
+            raise PreconditionError(
+                "vars-required", f"{args.command} needs --vars with --degrees"
+            )
+        return {"degrees": degrees, "variables": args.vars}, degrees, N, None
     doc = load_document(args)
-    payload["input"] = doc
     family = family_from_document(doc)
-    return list(family.degrees()), doc["variables"] - 1
+    return doc, list(family.degrees()), doc["variables"] - 1, family
 
 
-def cmd_necessary(args, _doc, payload) -> list[str]:
-    degrees, _ = _degrees_for(args, payload)
+def cmd_necessary(args):
+    doc, degrees, _, _ = _degrees_for(args, need_vars=False)
     degrees.sort()
     holds, failing = numeric_bounds.necessary_condition(degrees)
-    payload["result"] = {"degrees": degrees, "holds": holds, "first_failing_r": failing}
+    result = {"degrees": degrees, "holds": holds, "first_failing_r": failing}
     if holds:
-        return [f"degree condition holds for {degrees}"]
-    return [f"degree condition fails for {degrees} (smallest violated r = {failing})"]
+        return doc, result, [f"degree condition holds for {degrees}"]
+    return doc, result, [f"degree condition fails for {degrees} (smallest violated r = {failing})"]
 
 
-def cmd_bounds(args, _doc, payload) -> list[str]:
-    degrees, N = _degrees_for(args, payload)
-    if N is None:
-        raise PreconditionError("vars-required", "bounds needs --vars with --degrees")
+def cmd_bounds(args):
+    doc, degrees, N, _ = _degrees_for(args)
     report = numeric_bounds.bounds_report(degrees, N)
-    payload["result"] = _report_json(report)
-    return _report_lines(report)
+    return doc, _report_json(report), _report_lines(report)
 
 
 def _report_json(report) -> dict:
@@ -404,10 +398,10 @@ def _report_lines(report) -> list[str]:
     return lines
 
 
-def cmd_line_test(args, doc, payload) -> list[str]:
-    family = family_from_document(doc)
+def cmd_line_test(args):
+    doc = load_document(args)
     result = generic_line.line_independence_test(
-        family, trials=args.trials, seed=args.seed, exhaustive=args.exhaustive
+        family_from_document(doc), trials=args.trials, seed=args.seed, exhaustive=args.exhaustive
     )
     out = {
         "status": result.status,
@@ -425,11 +419,10 @@ def cmd_line_test(args, doc, payload) -> list[str]:
         v = ", ".join(str(x) for x in result.witness.v)
         lines.append(f"witness map coefficients: U <- ({u}); V <- ({v})")
     lines.extend(f"note: {n}" for n in result.notes)
-    payload["result"] = out
-    return lines
+    return doc, out, lines
 
 
-def cmd_search(args, _doc, payload) -> list[str]:
+def cmd_search(args):
     spec = search.SearchSpec(
         variables=args.vars,
         degree=args.degree,
@@ -438,7 +431,7 @@ def cmd_search(args, _doc, payload) -> list[str]:
         require="stable" if args.stable else "semistable",
         primary_only=args.primary_only,
     )
-    payload["input"] = {
+    doc = {
         "variables": spec.variables,
         "degree": spec.degree,
         "count": spec.count,
@@ -456,27 +449,17 @@ def cmd_search(args, _doc, payload) -> list[str]:
         }
         names = ", ".join(str(m) for m in result.family.members)
         lines.append(f"family: {names}")
-    payload["result"] = out
-    return lines
+    return doc, out, lines
 
 
-def cmd_report(args, _doc, payload) -> list[str]:
+def cmd_report(args):
+    doc, degrees, N, family = _degrees_for(args)
     lines: list[str] = []
     result: dict = {}
-    if getattr(args, "degrees", None):
-        degrees, N = _degrees_for(args, payload)
-        if N is None:
-            raise PreconditionError("vars-required", "report needs --vars with --degrees")
-        family = None
-    else:
-        doc = load_document(args)
-        payload["input"] = doc
-        family = family_from_document(doc)
-        degrees, N = list(family.degrees()), doc["variables"] - 1
-    if family is not None and isinstance(family, MonomialFamily):
+    if isinstance(family, MonomialFamily):
         v = monomial_stability.verdict(family)
         result["verdict"] = verdict_json(v)
-        lines.append(f"verdict: {v.kind.value} [{', '.join(v.notes)}]")
+        lines.append(_verdict_line("verdict", v))
     sorted_degrees = sorted(degrees)
     holds, failing = numeric_bounds.necessary_condition(sorted_degrees)
     result["necessary"] = {"holds": holds, "first_failing_r": failing}
@@ -488,12 +471,49 @@ def cmd_report(args, _doc, payload) -> list[str]:
     lines.extend(_report_lines(report))
     lines.append(report.statement())
     result["statement"] = report.statement()
-    payload["result"] = result
-    return lines
+    return doc, result, lines
 
 
 # ---------------------------------------------------------------------------
 # wiring
+
+_FAMILY_FLAGS = (
+    ("--file", {"help": "JSON FamilyDocument path (default: stdin)"}),
+    ("--monomials", {"help": "inline monomials, e.g. 'X^4,Y^4,Z^4,X*Y*Z^2'"}),
+    ("--vars", {"type": int, "help": "number of variables (overrides inference)"}),
+    ("--json", {"action": "store_true", "help": "emit machine-readable JSON"}),
+)
+_DEGREES = ("--degrees", {"help": "comma-separated degree list"})
+
+# command -> (handler, help text, flags as (name, add_argument keywords) pairs)
+_COMMANDS = {
+    "check": (cmd_check, "semistability verdict for a monomial family", _FAMILY_FLAGS),
+    "oracle": (cmd_check, "verdict recomputed with the exhaustive subset engine", _FAMILY_FLAGS),
+    "sections": (cmd_sections, "syzygy section dimension at a twist", _FAMILY_FLAGS + (
+        ("--twist", {"type": int, "help": "twist m of the syzygy sheaf"}),
+    )),
+    "lowrank": (cmd_lowrank, "rank-2/rank-3 section criteria", _FAMILY_FLAGS),
+    "necessary": (cmd_necessary, "necessary degree condition", _FAMILY_FLAGS + (
+        ("--degrees", {"help": "comma-separated degree list, e.g. 2,2,2"}),
+    )),
+    "bounds": (cmd_bounds, "restriction and tight-closure thresholds", _FAMILY_FLAGS + (_DEGREES,)),
+    "line-test": (cmd_line_test, "generic-line independence certificate", _FAMILY_FLAGS + (
+        ("--trials", {"type": int, "default": 64}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--exhaustive", {"action": "store_true"}),
+    )),
+    "search": (cmd_search, "search for a semistable family", (
+        ("--vars", {"type": int, "required": True, "help": "number of variables"}),
+        ("--degree", {"type": int, "required": True}),
+        ("--count", {"type": int, "required": True}),
+        ("--budget", {"type": int, "default": search.DEFAULT_BUDGET}),
+        ("--stable", {"action": "store_true", "help": "demand a stable family"}),
+        ("--primary-only", {"action": "store_true"}),
+        ("--json", {"action": "store_true"}),
+    )),
+    "report": (cmd_report, "composite verdict + bounds report", _FAMILY_FLAGS + (_DEGREES,)),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -501,92 +521,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Slope-semistability of syzygy bundles of monomial and polynomial families",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_family_flags(p):
-        p.add_argument("--file", help="JSON FamilyDocument path (default: stdin)")
-        p.add_argument("--monomials", help="inline monomials, e.g. 'X^4,Y^4,Z^4,X*Y*Z^2'")
-        p.add_argument("--vars", type=int, help="number of variables (overrides inference)")
-        p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-
-    for name, text in (
-        ("check", "semistability verdict for a monomial family"),
-        ("oracle", "verdict recomputed with the exhaustive subset engine"),
-    ):
+    for name, (_, text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        add_family_flags(p)
-
-    p = sub.add_parser("sections", help="syzygy section dimension at a twist")
-    add_family_flags(p)
-    p.add_argument("--twist", type=int, help="twist m of the syzygy sheaf")
-
-    p = sub.add_parser("lowrank", help="rank-2/rank-3 section criteria")
-    add_family_flags(p)
-
-    p = sub.add_parser("necessary", help="necessary degree condition")
-    add_family_flags(p)
-    p.add_argument("--degrees", help="comma-separated degree list, e.g. 2,2,2")
-
-    p = sub.add_parser("bounds", help="restriction and tight-closure thresholds")
-    add_family_flags(p)
-    p.add_argument("--degrees", help="comma-separated degree list")
-
-    p = sub.add_parser("line-test", help="generic-line independence certificate")
-    add_family_flags(p)
-    p.add_argument("--trials", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exhaustive", action="store_true")
-
-    p = sub.add_parser("search", help="search for a semistable family")
-    p.add_argument("--vars", type=int, required=True, help="number of variables")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
-    p.add_argument("--stable", action="store_true", help="demand a stable family")
-    p.add_argument("--primary-only", action="store_true")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("report", help="composite verdict + bounds report")
-    add_family_flags(p)
-    p.add_argument("--degrees", help="comma-separated degree list")
-
+        for flag, options in flags:
+            p.add_argument(flag, **options)
     return parser
-
-
-_FAMILY_COMMANDS = {
-    "check": cmd_check,
-    "oracle": cmd_check,
-    "sections": cmd_sections,
-    "lowrank": cmd_lowrank,
-    "line-test": cmd_line_test,
-}
-_FREE_COMMANDS = {
-    "necessary": cmd_necessary,
-    "bounds": cmd_bounds,
-    "search": cmd_search,
-    "report": cmd_report,
-}
 
 
 def run(argv: Optional[Sequence[str]] = None, stdout=None) -> int:
     out = stdout if stdout is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    payload: dict = {"schema": SCHEMA_VERSION, "command": args.command}
+    args = build_parser().parse_args(argv)
     try:
-        if args.command in _FAMILY_COMMANDS:
-            doc = load_document(args)
-            payload["input"] = doc
-            lines = _FAMILY_COMMANDS[args.command](args, doc, payload)
-        else:
-            lines = _FREE_COMMANDS[args.command](args, None, payload)
+        doc, result, lines = _COMMANDS[args.command][0](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PreconditionError as exc:
         print(f"precondition violated [{exc.criterion}]: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "json", False):
-        out.write(payload_dump(payload))
+    if args.json:
+        out.write(payload_dump(
+            {"schema": SCHEMA_VERSION, "command": args.command, "input": doc, "result": result}
+        ))
     else:
         out.write("\n".join(lines) + "\n")
     return 0

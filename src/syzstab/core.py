@@ -64,9 +64,6 @@ class Monomial:
     def support(self) -> tuple[int, ...]:
         return tuple(j for j, e in enumerate(self.exponents) if e > 0)
 
-    def is_pure_power(self) -> bool:
-        return len(self.support()) == 1
-
     def __mul__(self, other: Monomial) -> Monomial:
         _require_same_nvars(self, other)
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
@@ -165,16 +162,31 @@ class MonomialFamily:
         return self.members[i]
 
 
+def _vector_gcd(vectors: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """Componentwise minimum of nonempty exponent vectors: their gcd."""
+    return tuple(map(min, zip(*vectors)))
+
+
+def _pure_powers(vectors: Iterable[Sequence[int]]) -> set[int]:
+    """The variables j such that some vector is a positive power of X_j alone.
+
+    Monomials generate an ideal primary to the irrelevant ideal exactly when
+    this is every variable.
+    """
+    found = set()
+    for v in vectors:
+        support = [j for j, e in enumerate(v) if e]
+        if len(support) == 1:
+            found.add(support[0])
+    return found
+
+
 def is_primary(family: MonomialFamily) -> bool:
     """Whether the family generates an ideal primary to the irrelevant ideal.
 
     Holds exactly when every variable occurs as a pure power of some member.
     """
-    supports = [m.support() for m in family.members]
-    for j in range(family.variables):
-        if not any(s == (j,) for s in supports):
-            return False
-    return True
+    return len(_pure_powers(family.exponent_vectors())) == family.variables
 
 
 @dataclass(frozen=True)
@@ -274,9 +286,6 @@ def _as_polynomials(family: FamilyLike) -> tuple[list[Polynomial], int]:
     return polys, nvars
 
 
-Slope = Fraction
-
-
 @dataclass(frozen=True)
 class SubsetWitness:
     """A subfamily together with its gcd and twisted-sheaf slope.
@@ -305,11 +314,8 @@ class SubsetWitness:
             raise PreconditionError("subset-size", "subsets need at least 2 members")
         if idx[0] < 0 or idx[-1] >= len(family):
             raise PreconditionError("subset-indices", f"indices out of range: {idx}")
-        g = family[idx[0]]
-        total = 0
-        for i in idx:
-            g = meet(g, family[i])
-            total += family[i].degree()
+        g = Monomial(_vector_gcd(family[i].exponents for i in idx))
+        total = sum(family[i].degree() for i in idx)
         r = len(idx) - 1
         slope = Fraction(r * twist + g.degree() - total, r)
         return cls(idx, g, g.degree(), slope)

@@ -237,9 +237,15 @@ def line_independence_test(
     map and are sound (the rank at the witness is computed exactly);
     ProbablyNo is one-sided.  With ``exhaustive=True`` (and at most 5 members
     in at most 4 variables) an identically-vanishing minor expansion upgrades
-    the negative answer to CertifiedNo.
+    the negative answer to CertifiedNo.  A family in fewer than 2 variables
+    (every map is then proportional) and a negative ``trials`` violate the
+    preconditions.
     """
+    if trials < 0:
+        raise PreconditionError("line-trials", f"trials must be >= 0, got {trials}")
     polys, nvars = _as_polynomials(family)
+    if nvars < 2:
+        raise PreconditionError("line-variables", "line restriction needs at least 2 variables")
     n = len(polys)
     d = _common_degree(polys)
     yes_notes: tuple[str, ...] = ()

@@ -39,7 +39,6 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -49,6 +48,8 @@ from .core import (
     StabilityVerdict,
     SubsetWitness,
     VerdictKind,
+    _pure_powers,
+    _vector_gcd,
     is_primary,
 )
 
@@ -154,7 +155,7 @@ def _pruned_extrema(vectors: Sequence[Vec], degrees: Sequence[int]) -> _Extrema:
                 indices = tuple(sorted(i for _, i in ranked[:k]))
                 if best is None or key > best[0] or indices < best[1]:
                     best = (key, indices)
-    whole = Fraction(sum(reduce(_vmeet, vectors)) - sum(degrees), n - 1)
+    whole = Fraction(sum(_vector_gcd(vectors)) - sum(degrees), n - 1)
     everything = tuple(range(n))
     if best is None:
         return _Extrema(whole, everything, None, None)
@@ -226,28 +227,6 @@ def max_slope(family: MonomialFamily) -> MaxSlopeResult:
     return _summary(family, brute=False)
 
 
-def _reduction_is_primary(family: MonomialFamily) -> bool:
-    """Whether dividing out the family gcd leaves a primary family.
-
-    Twisting by the common factor identifies the syzygy sheaf with that of
-    the reduced family, so (semi)stability transfers; the subset criteria
-    apply verbatim because all subset slopes shift by the same constant.
-    """
-    vectors = family.exponent_vectors()
-    base = vectors[0]
-    for v in vectors[1:]:
-        base = _vmeet(base, v)
-    if sum(base) == 0:
-        return False
-    reduced = [tuple(x - b for x, b in zip(v, base)) for v in vectors]
-    for j in range(family.variables):
-        if not any(
-            v[j] > 0 and all(x == 0 for jj, x in enumerate(v) if jj != j) for v in reduced
-        ):
-            return False
-    return True
-
-
 def _classify(family: MonomialFamily, summary: MaxSlopeResult) -> StabilityVerdict:
     """Verdict from the family's subset-slope extrema, computed once by the caller."""
     if len(family) == 2:
@@ -255,8 +234,14 @@ def _classify(family: MonomialFamily, summary: MaxSlopeResult) -> StabilityVerdi
     fam = family_slope(family)
     proper, witness = summary.max_proper_slope, summary.proper_witness
     assert proper is not None and witness is not None
+    # Dividing out the family gcd twists the syzygy sheaf and shifts every
+    # subset slope by the same constant, so a primary reduction is decided by
+    # the same subset criterion.
+    vectors = family.exponent_vectors()
+    base = _vector_gcd(vectors)
     primary = is_primary(family)
-    if primary or _reduction_is_primary(family):
+    reduced = (tuple(x - b for x, b in zip(v, base)) for v in vectors)
+    if primary or len(_pure_powers(reduced)) == family.variables:
         notes = ("subset-slope-criterion",)
         if not primary:
             notes = ("common-factor-reduction",) + notes

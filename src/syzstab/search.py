@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .core import MonomialFamily, PreconditionError, VerdictKind, is_primary
+from .core import MonomialFamily, PreconditionError, VerdictKind, _pure_powers, is_primary
 from .monomial_stability import degree_vectors, verdict
 
 DEFAULT_BUDGET = 2_000_000
@@ -141,9 +141,7 @@ def find_semistable_family(spec: SearchSpec, prune: bool = True) -> SearchResult
         if spec.require == "stable"
         else (VerdictKind.STABLE, VerdictKind.SEMISTABLE_NOT_STABLE)
     )
-    pure_power_idx = {
-        i for i, v in enumerate(monos) if sum(1 for e in v if e > 0) == 1
-    }
+    pure_power_idx = {i for i, v in enumerate(monos) if _pure_powers([v])}
     nodes = 0
     found: Optional[MonomialFamily] = None
 

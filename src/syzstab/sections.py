@@ -29,7 +29,8 @@ from .core import (
     StabilityVerdict,
     VerdictKind,
     _as_polynomials,
-    is_primary,
+    _pure_powers,
+    _vector_gcd,
     join,
 )
 from .monomial_stability import degree_vectors
@@ -116,13 +117,8 @@ def _reject_common_monomial_factor(polys: list[Polynomial], criterion: str) -> N
     """The slope-bound formulas assume no common factor; a shared monomial
     factor is detectable exactly (other shared factors are the caller's
     responsibility)."""
-    common = None
-    for poly in polys:
-        own = poly.terms[0][1].exponents
-        for _, mono in poly.terms[1:]:
-            own = tuple(min(a, b) for a, b in zip(own, mono.exponents))
-        common = own if common is None else tuple(min(a, b) for a, b in zip(common, own))
-    if common is not None and sum(common) > 0:
+    common = _vector_gcd(m.exponents for p in polys for _, m in p.terms)
+    if any(common):
         raise PreconditionError(
             criterion,
             "members share the monomial factor with exponents "
@@ -172,15 +168,6 @@ def rank2_verdict(f1: Polynomial, f2: Polynomial, f3: Polynomial) -> StabilityVe
     )
 
 
-def _monomial_backed_family(polys: list[Polynomial], nvars: int) -> Optional[MonomialFamily]:
-    if any(len(p.terms) != 1 for p in polys):
-        return None
-    try:
-        return MonomialFamily.from_exponents([p.terms[0][1].exponents for p in polys], nvars)
-    except ValueError:
-        return None
-
-
 def rank3_verdict(
     f1: Polynomial, f2: Polynomial, f3: Polynomial, f4: Polynomial
 ) -> StabilityVerdict:
@@ -209,11 +196,11 @@ def rank3_verdict(
         m, dim = hit
         witness = SectionWitness(m, dim, 3 * m - total)
         return StabilityVerdict(VerdictKind.UNSTABLE, witness, ("destabilizing-section",))
-    monomials = _monomial_backed_family(polys, nvars)
-    if monomials is not None and not is_primary(monomials):
-        return StabilityVerdict(
-            VerdictKind.INCONCLUSIVE, None, ("not-primary",)
-        )
+    # Monomials have a common zero unless one of them is constant or every
+    # variable occurs as a pure power.
+    vectors = [p.terms[0][1].exponents for p in polys if len(p.terms) == 1]
+    if len(vectors) == 4 and all(map(any, vectors)) and len(_pure_powers(vectors)) < nvars:
+        return StabilityVerdict(VerdictKind.INCONCLUSIVE, None, ("not-primary",))
     if 2 * degs[3] <= degs[0] + degs[1] + degs[2]:
         return StabilityVerdict(
             VerdictKind.SEMISTABLE,

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import re
+import shlex
 import sys
 
 import pytest
@@ -268,6 +270,28 @@ def test_report_on_polynomial_family():
     assert result["bounds"]["tight_closure_bound"] == {"num": 3, "den": 1}
 
 
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        # one variable: the sampler used to loop forever
+        (
+            ["line-test"],
+            '{"variables":1,"polynomials":[{"terms":[[1,1,[2]]]},{"terms":[[2,1,[2]]]}]}',
+        ),
+        # negative trials used to report "ProbablyNo (trials used: -5)"
+        (["line-test", "--monomials", "X^3,Y^3,Z^3,X^2*Y", "--trials", "-5"], None),
+    ],
+)
+def test_line_test_preconditions_exit_2(argv, stdin):
+    rc, out = capture(argv, stdin=stdin)
+    assert rc == 2 and out == ""
+
+
+def test_line_test_accepts_zero_trials():
+    rc, out = capture(["line-test", "--monomials", "X^4,Y^4,Z^4,X^3*Y,X^3*Z", "--trials", "0"])
+    assert rc == 0 and out.startswith("line-independence: ProbablyNo (trials used: 0)")
+
+
 def test_line_test_command_deterministic():
     args = ["line-test", "--monomials", "X^4,Y^4,Z^4,X^3*Y,X^3*Z", "--json"]
     outs = {capture(args)[1] for _ in range(3)}
@@ -276,3 +300,64 @@ def test_line_test_command_deterministic():
     assert payload["result"]["status"] == "ProbablyNo"
     rc, out = capture(args[:-1] + ["--exhaustive", "--json"])
     assert json.loads(out)["result"]["status"] == "CertifiedNo"
+
+
+# The nine CLI examples of README.md with the sha256 of their exact output in
+# text mode and with --json, captured before the command table replaced the
+# per-command parser blocks; any byte of drift in a renderer shows up here.
+README_EXAMPLES = [
+    (
+        'check --monomials "X^6,Y^6,Z^6,X^2*Y^2*Z^2,X*Y^2*Z^3"',
+        "098f69b9467bd3672257a806a4e32d6d061c4a305bb315c7158f430ae39179cf",
+        "d75e6a0916a9b518c0543962973df8107ec548fe042271795767749e76bfafbb",
+    ),
+    (
+        'oracle --monomials "X^2,Y^2,Z^2"',
+        "76e08673b830af3a547d02dfb594de93ec8a92d3ad4cbb12bc4870975c3635e0",
+        "dba7c00c13d9c9f4dfa159a0b8f92a5932366945ad7dd3ef14e7480284527e47",
+    ),
+    (
+        'sections --monomials "X^3,X*Y^2,Z*Y^2" --twist 4',
+        "6d7b35fe2d89de709c537ba41f35cb316c54e6e547b918d206d1bdbd4e92b2cb",
+        "87fe78b4a7df7eb3fc11e1ad110e6ee5febe1dfaacd9c274170dc9025212ff58",
+    ),
+    (
+        'lowrank --monomials "X^3,X*Y^2,Z*Y^2"',
+        "0fee105bcbb1da08e8ce054fa821a3fb893e2db45dd21483fdf4cae140240a73",
+        "6512e64782785e9f8b613fa80decbd21776415a0dfe2a96a5803120d6e66ed19",
+    ),
+    (
+        "necessary --degrees 1,1,3",
+        "ec80e9d4060794489cabf2eeaf459054358b72f02a5a1746a7e0e2d78aad2c7d",
+        "c76e808ef1fd58917086b741c74b00ce7861661de55cc73a7cd7059e726b269d",
+    ),
+    (
+        "bounds --degrees 2,2,2 --vars 3",
+        "fbd630f46e5d1a905875280e1adc3235ec2d081821584b09e83d1032d7e650d0",
+        "18294b15a5f14c586ea1761e6564898af576665059f9d302c696164b5e9f86d0",
+    ),
+    (
+        'report --monomials "X^2,Y^2,Z^2"',
+        "04283a1caf20d0e300b3654a2dc584d32da86ace6f73f7a8441f207a159c6897",
+        "68eaa532f002b9e6d0f2f56f335e87a4fb4c033d0931884a75a59031169e8597",
+    ),
+    (
+        'line-test --monomials "X^3,Y^3,Z^3,X^2*Y" --trials 64 --seed 0',
+        "f7a63a91da6dbb45844a493a398dee6530e836692a6f35e950cc3ada61dc582f",
+        "d51bc0477f94cf9cc0be47e444629d4d5aceac71760718febd395003d015a44e",
+    ),
+    (
+        'search --vars 3 --degree 4 --count 5',
+        "0e627bb2f32e1251b8509facfe86f036c8745a5e79a16a956980f18b42d548c8",
+        "8973682b019ac586044c0dd9339e22a863e2846fd4ef0a32d338dc128beccf5e",
+    ),
+]
+
+
+@pytest.mark.parametrize("example, text_sha, json_sha", README_EXAMPLES)
+def test_readme_examples_are_byte_identical(example, text_sha, json_sha):
+    argv = shlex.split(example)
+    for flags, expected in (([], text_sha), (["--json"], json_sha)):
+        rc, out = capture(argv + flags)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, out

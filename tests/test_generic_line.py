@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from syzstab._matrix import rational_rank
-from syzstab.core import MonomialFamily, PreconditionError, VerdictKind
+from syzstab.core import Monomial, MonomialFamily, Polynomial, PreconditionError, VerdictKind
 from syzstab.generic_line import (
     LineMap,
     LineTestStatus,
@@ -137,3 +137,19 @@ def test_independence_below_full_count_does_not_certify_semistability():
     assert result.status == LineTestStatus.CERTIFIED_YES
     assert result.notes == ()
     assert verdict(F).kind == VerdictKind.UNSTABLE
+
+
+def test_one_variable_family_is_a_precondition_violation():
+    # every map of one variable is proportional, so no line can be sampled
+    family = [Polynomial(((Fraction(c), Monomial((2,))),)) for c in (1, 2)]
+    with pytest.raises(PreconditionError) as info:
+        line_independence_test(family)
+    assert info.value.criterion == "line-variables"
+
+
+def test_negative_trials_are_a_precondition_violation():
+    with pytest.raises(PreconditionError) as info:
+        line_independence_test(CUBICS, trials=-5)
+    assert info.value.criterion == "line-trials"
+    result = line_independence_test(DEPENDENT, trials=0)
+    assert result.status == LineTestStatus.PROBABLY_NO and result.trials_used == 0

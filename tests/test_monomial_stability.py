@@ -135,6 +135,75 @@ def test_pruned_extrema_match_brute_force(vectors):
     assert fast.proper_indices == slow.proper_indices
 
 
+@st.composite
+def primary_families_with_factor(draw):
+    """A primary family of 3-8 members in 2-4 variables and a nonconstant monomial."""
+    nvars = draw(st.integers(2, 4))
+    powers = [
+        tuple(e if i == j else 0 for i in range(nvars))
+        for j, e in enumerate(draw(st.lists(st.integers(1, 4), min_size=nvars, max_size=nvars)))
+    ]
+    vector = st.tuples(*[st.integers(0, 3)] * nvars).filter(lambda v: sum(v) > 0)
+    rest = draw(st.lists(vector, unique=True, max_size=8 - nvars))
+    members = list(dict.fromkeys(powers + rest))
+    assume(len(members) >= 3)
+    factor = draw(st.tuples(*[st.integers(0, 2)] * nvars).filter(lambda v: sum(v) > 0))
+    return draw(st.permutations(members)), factor
+
+
+def reported_slopes(family):
+    """Every slope the verdict and the summary report, with their witnesses."""
+    v, s = verdict(family), slope_summary(family)
+    w = v.witness
+    return (
+        v.kind,
+        w and (w.indices, w.slope),
+        family_slope(family),
+        (s.witness.indices, s.max_slope),
+        (s.proper_witness.indices, s.max_proper_slope),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(primary_families_with_factor())
+def test_common_factor_shifts_every_slope(case):
+    vectors, factor = case
+    c = sum(factor)
+    plain = fam(*vectors)
+    scaled = fam(*(tuple(x + f for x, f in zip(v, factor)) for v in vectors))
+    kind, w, whole, top, proper = reported_slopes(plain)
+    assert verdict(plain).notes == ("subset-slope-criterion",)
+    assert verdict(scaled).notes == ("common-factor-reduction", "subset-slope-criterion")
+    shifted = reported_slopes(scaled)
+    assert shifted == (
+        kind,
+        w and (w[0], w[1] - c),
+        whole - c,
+        (top[0], top[1] - c),
+        (proper[0], proper[1] - c),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(exponent_families(), st.randoms(use_true_random=False))
+def test_verdict_is_invariant_under_permuting_variables(vectors, rnd):
+    assume(len(vectors) >= 3)
+    order = list(range(len(vectors[0])))
+    rnd.shuffle(order)
+    permuted = fam(*(tuple(v[j] for j in order) for v in vectors))
+    a, b = verdict(fam(*vectors)), verdict(permuted)
+    assert a.notes == b.notes
+    assert reported_slopes(fam(*vectors)) == reported_slopes(permuted)
+
+
+def test_one_variable_family_is_primary_without_reduction_note():
+    # X^2, X^3, X^5 has gcd X^2 but is already primary: no reduction note
+    family = MonomialFamily.from_exponents([(2,), (3,), (5,)], 1)
+    assert is_primary(family)
+    v = verdict(family)
+    assert v.notes == ("subset-slope-criterion",)
+
+
 def test_oracle_equivalence_randomized():
     rng = random.Random(424242)
     for _ in range(150):

@@ -200,6 +200,16 @@ def test_rank3_without_primary_members_is_inconclusive():
     assert "not-primary" in v.notes
 
 
+def test_rank3_checks_primariness_of_repeated_and_constant_monomials():
+    # (X, Y, X^2, X^2) vanishes at (0:0:1); a repeated member used to skip the
+    # primary check and give Semistable
+    v = rank3_verdict(*mono_polys((1, 0, 0), (0, 1, 0), (2, 0, 0), (2, 0, 0)))
+    assert v.kind == VerdictKind.INCONCLUSIVE and v.notes == ("not-primary",)
+    # a constant member leaves no common zero, so the check passes
+    v = rank3_verdict(*mono_polys((0, 0, 0), (1, 0, 0), (1, 0, 0), (0, 1, 0)))
+    assert v.kind == VerdictKind.SEMISTABLE
+
+
 def test_rank3_needs_three_variables_exactly():
     quads = mono_polys((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
     with pytest.raises(PreconditionError):
