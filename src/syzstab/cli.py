@@ -330,11 +330,14 @@ def _degrees_for(args, need_vars: bool = True):
     """(input, degrees, dimension N, family) from --degrees/--vars or a document.
 
     The family is None for --degrees, where N is unknown without --vars: a
-    violated precondition when ``need_vars``.
+    violated precondition when ``need_vars``.  A --vars below 1 given with
+    --degrees is out of range in every command.
     """
     if args.degrees:
         degrees = parse_degrees(args.degrees)
-        N = args.vars - 1 if args.vars else None
+        if args.vars is not None and args.vars < 1:
+            raise PreconditionError("vars-range", f"--vars must be at least 1, got {args.vars}")
+        N = None if args.vars is None else args.vars - 1
         if N is None and need_vars:
             raise PreconditionError(
                 "vars-required", f"{args.command} needs --vars with --degrees"

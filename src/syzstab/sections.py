@@ -6,7 +6,8 @@ its dimension is the nullity of the evaluation map
 
     (+) R_{m - d_i}  ->  R_m,    (a_i) |-> sum a_i f_i,
 
-computed here from the exact rank of its integer matrix (``_matrix``).  A
+computed here by counting distinct products when every member is a single
+term, and otherwise from the exact rank of its integer matrix (``_matrix``).  A
 section at a twist where the sheaf degree is already negative spans a
 destabilizing line subsheaf; absence of sections below the slope bound
 certifies semistability for sheaves of rank 2 and (with a degree hypothesis)
@@ -16,6 +17,7 @@ rank 3.
 from __future__ import annotations
 
 from math import lcm
+from operator import add
 from typing import Optional
 
 from ._matrix import integer_rank
@@ -84,12 +86,25 @@ def syzygy_section_dim(family: FamilyLike, twist: int) -> int:
     """Dimension of the space of degree-``twist`` syzygies of the family.
 
     The dimension is the number of columns minus the exact rank of the
-    evaluation matrix.  Since rank mod p <= rank over Q <= min(rows, cols)
-    for every prime p, a full rank mod 2 or mod ``_matrix.PRIME`` is the
-    exact rank; Bareiss elimination runs only when neither modular rank is
-    full.
+    evaluation matrix.  When every member is a single term, each column has
+    exactly one nonzero entry, so the rank is the number of distinct products
+    b*t of a component basis monomial b with its member's term t, counted
+    without building the matrix.  Otherwise ``integer_rank`` decides: a full
+    rank mod 2 or mod ``_matrix.PRIME`` is exact, a deficient one is exact
+    once a lifted left-kernel certificate checks over the integers, and
+    Bareiss elimination runs only when that check fails.
     """
-    rows = evaluation_matrix(family, twist)
+    polys, nvars = _as_polynomials(family)
+    if all(len(p.terms) == 1 for p in polys):
+        columns = 0
+        products = set()
+        for poly in polys:
+            t = poly.terms[0][1].exponents
+            for b in degree_vectors(nvars, twist - poly.degree):
+                products.add(tuple(map(add, b, t)))
+                columns += 1
+        return columns - len(products)
+    rows = evaluation_matrix(polys, twist)
     if not rows or not rows[0]:
         return 0
     return len(rows[0]) - integer_rank(rows)

@@ -254,6 +254,14 @@ def test_bounds_requires_vars_with_degrees():
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["bounds", "report", "necessary"])
+@pytest.mark.parametrize("variables", ["0", "-3"])
+def test_vars_below_one_is_out_of_range(command, variables, capsys):
+    rc, out = capture([command, "--degrees", "2,2,2", "--vars", variables, "--json"])
+    assert rc == 2 and out == ""
+    assert "[vars-range]" in capsys.readouterr().err
+
+
 def test_report_on_polynomial_family():
     doc = {
         "variables": 3,

@@ -4,11 +4,12 @@ from fractions import Fraction
 from math import comb, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from syzstab import _matrix
 from syzstab.core import Monomial, MonomialFamily, Polynomial, PreconditionError, VerdictKind
+from syzstab.monomial_stability import verdict
 from syzstab.sections import (
     evaluation_matrix,
     min_section_degree_monomial,
@@ -104,7 +105,7 @@ def test_section_dim_matches_combinatorial_count_for_monomials():
     # for monomial members the image of the evaluation map is spanned by the
     # degree-m monomials divisible by some member, so the nullity equals
     # sum(dim R_{m-d_i}) minus that count: an independent oracle for the
-    # whole matrix-and-rank pipeline
+    # term count, which counts distinct products instead
     rng = random.Random(21)
     for _ in range(60):
         nvars = rng.choice([2, 3])
@@ -126,6 +127,60 @@ def test_section_dim_matches_combinatorial_count_for_monomials():
             if any(mem.divides(mono) for mem in family)
         )
         assert computed == components - in_ideal, (family.exponent_vectors(), m)
+
+
+@st.composite
+def single_term_families(draw):
+    """1-5 single-term members in 1-3 variables (constants and repeated
+    members included) with nonzero integer or rational coefficients, and a
+    twist in 0..6."""
+    nvars = draw(st.integers(1, 3))
+    vector = st.tuples(*[st.integers(0, 2)] * nvars)
+    coeff = st.one_of(
+        st.integers(-5, 5).filter(bool),
+        st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)),
+    )
+    members = draw(st.lists(st.tuples(coeff, vector), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        members.append(members[0])
+    return [poly(term) for term in members], draw(st.integers(0, 6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(single_term_families())
+def test_term_count_matches_bareiss_nullity(case):
+    # single-term members skip the matrix; the nullity of the evaluation
+    # matrix computed by Bareiss is the independent slow path
+    family, m = case
+    rows = evaluation_matrix(family, m)
+    expected = len(rows[0]) - _bareiss_rank(rows) if rows and rows[0] else 0
+    assert syzygy_section_dim(family, m) == expected
+
+
+@st.composite
+def primary_lowrank_families(draw):
+    """Pure powers of X, Y, Z, plus one other distinct nonconstant monomial
+    for a rank-3 (four-member) family, in random order."""
+    powers = [
+        tuple(e if i == j else 0 for i in range(3))
+        for j, e in enumerate(draw(st.lists(st.integers(1, 5), min_size=3, max_size=3)))
+    ]
+    if draw(st.booleans()):
+        extra = st.tuples(*[st.integers(0, 4)] * 3).filter(lambda v: sum(v) and v not in powers)
+        powers.append(draw(extra))
+    return draw(st.permutations(powers))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(primary_lowrank_families())
+def test_lowrank_verdicts_agree_with_the_subset_engine(vectors):
+    # two independent engines: section scans (through the term count) and
+    # the subset-slope criterion on the same primary monomial family
+    lowrank = (rank2_verdict if len(vectors) == 3 else rank3_verdict)(*mono_polys(*vectors))
+    assume(lowrank.kind != VerdictKind.INCONCLUSIVE)
+    subset = verdict(MonomialFamily.from_exponents(vectors))
+    semistable = subset.kind in (VerdictKind.STABLE, VerdictKind.SEMISTABLE_NOT_STABLE)
+    assert lowrank.kind == (VerdictKind.SEMISTABLE if semistable else VerdictKind.UNSTABLE)
 
 
 def test_section_dim_monotone_once_positive():
@@ -246,12 +301,20 @@ def _grid(entries, nrows, ncols):
 def integer_matrices(draw):
     """0-8 x 0-8 integer matrices whose ranks mod 2 and mod PRIME often fall
     short: all-even entries, entries that are even or multiples of PRIME,
-    entries beyond 64 bits, and products through 0-3 inner dimensions."""
+    entries beyond 64 bits, and products through 0-3 inner dimensions; plus
+    tall and wide thin products (up to 8 x 16 or 16 x 8) whose rank falls
+    short of the smaller side, so that both orientations need a certificate."""
     nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
     small = st.integers(-3, 3)
-    kind = draw(st.sampled_from(["small", "even", "prime", "huge", "product"]))
-    if kind == "product":
+    kind = draw(st.sampled_from(["small", "even", "prime", "huge", "product", "tall", "wide"]))
+    if kind in ("tall", "wide"):
+        short = draw(st.integers(1, 8))
+        long = draw(st.integers(short + 1, 16))
+        nrows, ncols = (long, short) if kind == "tall" else (short, long)
+        k = draw(st.integers(0, short - 1))
+    elif kind == "product":
         k = draw(st.integers(0, 3))
+    if kind in ("product", "tall", "wide"):
         left, right = draw(_grid(small, nrows, k)), draw(_grid(small, k, ncols))
         return [[sum(row[t] * right[t][j] for t in range(k)) for j in range(ncols)] for row in left]
     entries = {
@@ -289,7 +352,42 @@ def test_section_scan_through_the_bareiss_fallback(monkeypatch):
     family = [poly((1, (1, 0, 0)), (-1, (0, 1, 0))), poly((1, (0, 1, 0)), (-1, (0, 0, 1)))]
     for m in range(1, 7):
         assert syzygy_section_dim(family, m) == comb(m, 2)
-    assert len(runs) == 5  # twist 1 maps R_0^2 onto a plane: full rank mod 2
+    # Evaluation at (1:1:1), the all-ones left-kernel vector, certifies each
+    # deficient rank, so Bareiss never runs.
+    assert runs == []
+
+
+def thin_product(nrows, ncols, k, seed):
+    rng = random.Random(seed)
+    left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(nrows)]
+    right = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(k)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+def test_deficient_rank_is_certified_in_both_orientations(monkeypatch):
+    runs = count_bareiss_runs(monkeypatch)
+    wide = thin_product(6, 11, 3, seed=5)
+    tall = [list(col) for col in zip(*wide)]
+    assert _bareiss_rank(wide) == 3
+    assert integer_rank(wide) == integer_rank(tall) == 3
+    assert runs == []
+
+
+def test_kernel_entries_beyond_the_lift_bound_fall_back_to_bareiss(monkeypatch):
+    # the left kernel is spanned by (-N, 1); N exceeds sqrt(PRIME / 2), so no
+    # lift of -N mod PRIME checks and Bareiss decides
+    runs = count_bareiss_runs(monkeypatch)
+    N = 10**6
+    assert integer_rank([[1, 2, 3], [N, 2 * N, 3 * N]]) == 1
+    assert len(runs) == 1
+
+
+def test_unlucky_prime_falls_back_to_bareiss(monkeypatch):
+    # the first row vanishes mod PRIME (and the second mod 2), so both modular
+    # ranks are 1; the would-be kernel vector (1, 0) fails the exact check
+    runs = count_bareiss_runs(monkeypatch)
+    assert integer_rank([[PRIME, 2 * PRIME, 0], [0, 0, 2]]) == 2
+    assert len(runs) == 1
 
 
 def test_rational_family_deficient_mod_2_is_certified_mod_p(monkeypatch):
