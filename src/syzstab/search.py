@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .core import MonomialFamily, PreconditionError, VerdictKind, _pure_powers, is_primary
+from .core import MonomialFamily, PreconditionError, VerdictKind, _pure_powers
 from .monomial_stability import degree_vectors, verdict
 
 DEFAULT_BUDGET = 2_000_000
@@ -145,26 +145,24 @@ def find_semistable_family(spec: SearchSpec, prune: bool = True) -> SearchResult
     nodes = 0
     found: Optional[MonomialFamily] = None
 
-    def visit(chosen_idx: list[int], state: _PathClosure, start: int) -> bool:
+    def visit(state: _PathClosure, start: int) -> bool:
         nonlocal nodes, found
         if nodes >= spec.budget:
             raise _BudgetExceeded
         nodes += 1
         chosen = state.chosen
-        if len(chosen) == n:
-            family = MonomialFamily.from_exponents(chosen, spec.variables)
-            if spec.primary_only and not is_primary(family):
+        slots = n - len(chosen)
+        if spec.primary_only:
+            # one pure power per variable; one below ``start`` is chosen or lost
+            have = len(_pure_powers(chosen))
+            if have < sum(i < start for i in pure_power_idx) or spec.variables - have > slots:
                 return False
-            v = verdict(family)
-            if v.kind in accepted:
+        if not slots:
+            family = MonomialFamily.from_exponents(chosen, spec.variables)
+            if verdict(family).kind in accepted:
                 found = family
                 return True
             return False
-        slots = n - len(chosen)
-        if spec.primary_only:
-            missing = [i for i in pure_power_idx if i not in chosen_idx]
-            if any(i < start for i in missing) or len(missing) > slots:
-                return False
         for i in range(start, total - slots + 1):
             if prune:
                 child = state.push(monos[i], spec.degree)
@@ -172,14 +170,12 @@ def find_semistable_family(spec: SearchSpec, prune: bool = True) -> SearchResult
                     continue
             else:  # carry the members only
                 child = _PathClosure(chosen + (monos[i],))
-            chosen_idx.append(i)
-            if visit(chosen_idx, child, i + 1):
+            if visit(child, i + 1):
                 return True
-            chosen_idx.pop()
         return False
 
     try:
-        if visit([], _PathClosure(), 0):
+        if visit(_PathClosure(), 0):
             return SearchResult(SearchStatus.FOUND, found, nodes)
         return SearchResult(SearchStatus.EXHAUSTED, None, nodes)
     except _BudgetExceeded:

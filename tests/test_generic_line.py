@@ -1,17 +1,22 @@
 import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from syzstab._matrix import rational_rank
+from syzstab._matrix import _bareiss_rank, rational_rank
 from syzstab.core import Monomial, MonomialFamily, Polynomial, PreconditionError, VerdictKind
 from syzstab.generic_line import (
     LineMap,
     LineTestStatus,
+    _candidates,
+    _symbolic_rows,
     line_independence_test,
     restrict_to_line,
 )
-from syzstab.monomial_stability import verdict
+from syzstab.monomial_stability import degree_vectors, verdict
 from syzstab.core import is_primary
 
 
@@ -153,3 +158,82 @@ def test_negative_trials_are_a_precondition_violation():
     assert info.value.criterion == "line-trials"
     result = line_independence_test(DEPENDENT, trials=0)
     assert result.status == LineTestStatus.PROBABLY_NO and result.trials_used == 0
+
+
+@st.composite
+def polynomial_families(draw, max_members=4, max_terms=4):
+    """1-``max_members`` forms of one degree 1-4 in 2-4 variables, rational coefficients."""
+    nvars, d = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    monos = list(degree_vectors(nvars, d))
+    coeff = st.fractions(-9, 9, max_denominator=6).filter(bool)
+
+    def member():
+        exps = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=max_terms, unique=True))
+        return Polynomial(tuple((draw(coeff), Monomial(e)) for e in exps))
+
+    return [member() for _ in range(draw(st.integers(1, max_members)))]
+
+
+def _value(terms, point):
+    """Sum of c * prod(x^e) over (exponents, c) terms, straight from the terms."""
+    return sum(c * prod(x**e for x, e in zip(point, exps)) for exps, c in terms)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(polynomial_families(), st.data())
+def test_one_expansion_matches_substitution(family, data):
+    nvars, d = family[0].nvars, family[0].degree
+    coords = st.lists(st.integers(-4, 4), min_size=nvars, max_size=nvars)
+    u, v = data.draw(coords), data.draw(coords)
+    assume(any(u[i] * v[j] != u[j] * v[i] for i in range(nvars) for j in range(nvars)))
+    rows = restrict_to_line(family, LineMap(u, v))
+    assert all(type(c) is Fraction for row in rows for c in row)
+    # the image at (U, V) is the member at X_j = u_j*U + v_j*V; d+2 points pin it
+    for U, V in ((1, 0), (0, 1), (1, 1), (2, -1), (-3, 2), (1, 3)):
+        x = [a * U + b * V for a, b in zip(u, v)]
+        for f, row in zip(family, rows):
+            terms = [(m.exponents, c) for c, m in f.terms]
+            assert sum(r * U**k * V ** (d - k) for k, r in enumerate(row)) == _value(terms, x)
+    # the symbolic rows in a_0..a_N, b_0..b_N, evaluated at (u, v), are the numeric rows
+    symbolic = _symbolic_rows(family, nvars)
+    assert [[_value(entry.items(), u + v) for entry in row] for row in symbolic] == rows
+
+
+def _projections(nvars):
+    return [line for line, _ in _candidates(nvars, 0, 0, None)]
+
+
+def test_exhaustive_witness_is_read_off_the_minor():
+    # every coordinate projection loses a member of X^3, Y^3, Z^3, X^2*Y
+    assert all(rational_rank(restrict_to_line(CUBICS, m)) <= 3 for m in _projections(3))
+    results = [line_independence_test(CUBICS, trials=0, seed=s, exhaustive=True) for s in (0, 5)]
+    assert results[0] == results[1]
+    assert results[0].status == LineTestStatus.CERTIFIED_YES
+    assert results[0].trials_used == 0
+    assert results[0].witness == LineMap((0, 1, 1), (1, 0, 1))
+
+
+def test_exhaustive_witness_of_a_single_product():
+    # X*Y*Z vanishes under every projection; without the factor a_0*b_1 - a_1*b_0
+    # the minor alone would be read off at u = 0, a proportional map
+    family = [Polynomial.from_monomial(Monomial((1, 1, 1)))]
+    assert all(rational_rank(restrict_to_line(family, m)) == 0 for m in _projections(3))
+    result = line_independence_test(family, trials=0, exhaustive=True)
+    assert result.status == LineTestStatus.CERTIFIED_YES
+    assert result.trials_used == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(polynomial_families(max_members=5, max_terms=2), st.integers(0, 2), st.integers(0, 99))
+def test_exhaustive_mode_is_decisive(family, trials, seed):
+    result = line_independence_test(family, trials=trials, seed=seed, exhaustive=True)
+    assert result.status != LineTestStatus.PROBABLY_NO
+    if trials == 0:
+        assert line_independence_test(family, trials=0, seed=seed + 1, exhaustive=True) == result
+    if result.status == LineTestStatus.CERTIFIED_YES:
+        assert result.trials_used <= trials
+        scaled = []
+        for row in restrict_to_line(family, result.witness):
+            m = lcm(*(c.denominator for c in row))
+            scaled.append([int(c * m) for c in row])
+        assert _bareiss_rank(scaled) == len(family)

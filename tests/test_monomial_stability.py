@@ -196,6 +196,46 @@ def test_verdict_is_invariant_under_permuting_variables(vectors, rnd):
     assert reported_slopes(fam(*vectors)) == reported_slopes(permuted)
 
 
+@st.composite
+def primary_families(draw):
+    """A primary family of 3-8 distinct members in 2-4 variables, exponents 0-3."""
+    nvars = draw(st.integers(2, 4))
+    powers = [
+        tuple(e if i == j else 0 for i in range(nvars))
+        for j, e in enumerate(draw(st.lists(st.integers(1, 3), min_size=nvars, max_size=nvars)))
+    ]
+    vector = st.tuples(*[st.integers(0, 3)] * nvars).filter(lambda v: sum(v) > 0)
+    members = list(dict.fromkeys(powers + draw(st.lists(vector, max_size=8 - nvars))))
+    assume(len(members) >= 3)
+    return draw(st.permutations(members))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(primary_families(), st.randoms(use_true_random=False))
+def test_witnesses_follow_a_reordering_of_the_members(vectors, rnd):
+    order = list(range(len(vectors)))
+    rnd.shuffle(order)  # member i of the reordered family is member order[i]
+    family, reordered = fam(*vectors), fam(*(vectors[i] for i in order))
+    a, b = verdict(family), verdict(reordered)
+    s, t = slope_summary(family), slope_summary(reordered)
+    assert (a.kind, a.notes) == (b.kind, b.notes)
+    assert family_slope(family) == family_slope(reordered)
+    assert (s.max_slope, s.max_proper_slope) == (t.max_slope, t.max_proper_slope)
+    pairs = ((a.witness, b.witness), (s.witness, t.witness), (s.proper_witness, t.proper_witness))
+    for w, x in pairs:
+        assert (w is None) == (x is None)
+        if w is None:
+            continue
+        back = tuple(sorted(order[i] for i in x.indices))
+        assert (len(back), subset_slope(family, back), x.slope) == (len(w.indices), w.slope, w.slope)
+        ties = sum(
+            subset_slope(family, c) == w.slope
+            for c in itertools.combinations(range(len(vectors)), len(back))
+        )
+        if ties == 1:
+            assert back == w.indices
+
+
 def test_one_variable_family_is_primary_without_reduction_note():
     # X^2, X^3, X^5 has gcd X^2 but is already primary: no reduction note
     family = MonomialFamily.from_exponents([(2,), (3,), (5,)], 1)
