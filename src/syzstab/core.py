@@ -43,9 +43,11 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
+        exps = tuple(self.exponents)
         if not exps:
             raise ValueError("a monomial needs at least one variable")
+        if any(type(e) is not int for e in exps):
+            raise ValueError(f"non-integer exponent in {exps!r}")
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps!r}")
         object.__setattr__(self, "exponents", exps)

@@ -20,6 +20,7 @@ be unstable), so results carry a note only in the n = d+1 case.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -187,17 +188,18 @@ def _symbolic_rows(polys: Sequence[Polynomial], nvars: int) -> list[list[_Poly]]
 
 
 def _nonzero_minor(rows: list[list[_Poly]], n: int, d: int) -> Optional[_Poly]:
-    """The first maximal minor, in column order, that is not identically zero."""
-    for cols in itertools.combinations(range(d + 1), n):
-        det = rows[0][0] * 0
-        for perm in itertools.permutations(range(n)):
-            product = (-1) ** sum(p > q for p, q in itertools.combinations(perm, 2))
-            for i, pi in enumerate(perm):
-                product = rows[i][cols[pi]] * product
-            det = det + product
-        if det:
-            return det
-    return None
+    """The first maximal minor, in column order, that is not identically zero;
+    each expands along its last row, sharing smaller minors by column tuple."""
+
+    @functools.cache
+    def det(cols: tuple[int, ...]) -> _Poly:
+        k = len(cols) - 1
+        if not k:
+            return rows[0][cols[0]]
+        terms = (rows[k][c] * det(cols[:j] + cols[j + 1 :]) for j, c in enumerate(cols))
+        return sum((t * (-1) ** (k - j) for j, t in enumerate(terms)), rows[0][0] * 0)
+
+    return next(filter(None, map(det, itertools.combinations(range(d + 1), n))), None)
 
 
 def _witness_line(minor: _Poly, nvars: int) -> LineMap:

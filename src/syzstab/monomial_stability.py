@@ -39,6 +39,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -109,6 +110,86 @@ def _meet_closure(vectors: Sequence[Vec]) -> list[Vec]:
                     fresh.append(m)
         frontier = fresh
     return sorted(closure)
+
+
+class _PathClosure:
+    """Meet closure of a growing family of distinct degree-d members: immutable.
+
+    ``closure`` maps each gcd g of a nonempty chosen subfamily to s(g), the
+    number of chosen members divisible by g; ``base`` is the gcd of all chosen
+    members; ``num``/``den`` is the largest (deg g - s*d)/(s - 1) over entries
+    with s >= 2 (``den`` is 0 while there is none).  A search node shares it
+    with its children, and ``same_degree_check`` folds it over a family.
+    """
+
+    __slots__ = ("chosen", "closure", "base", "num", "den")
+
+    def __init__(self, chosen=(), closure=None, base=None, num=0, den=0):
+        self.chosen = chosen
+        self.closure = {} if closure is None else closure
+        self.base = base
+        self.num, self.den = num, den
+
+    def push(self, v: Vec, d: int) -> "_PathClosure":
+        """State after choosing the degree-``d`` exponent vector ``v``.
+
+        Bumps s(g) for the g dividing v, adds v and the new meets g ^ v with
+        their counts, and folds only those into the maximum: an unchanged
+        entry keeps its value, and a changed one can only rise.  ``v`` is new
+        to the closure, as a gcd of degree d is a chosen member.
+        """
+        old = self.closure
+        closure = dict(old)
+        closure[v] = 0
+        num, den = self.num, self.den
+        fresh, bumped = [v], []
+        for g in old:
+            m = tuple(map(min, g, v))  # the meet of g and v
+            if m == g:
+                closure[g] = old[g] + 1
+                bumped.append(g)
+            elif m not in closure:
+                closure[m] = 0
+                fresh.append(m)
+        for h in fresh:  # h divides v; count its multiples among the others
+            closure[h] = 1 + sum(1 for c in self.chosen if all(map(int.__le__, h, c)))
+        for g in bumped + fresh:
+            s = closure[g]
+            if s >= 2:
+                a, b = sum(g) - s * d, s - 1
+                if den == 0 or a * den > num * b:
+                    num, den = a, b
+        base = v if self.base is None else tuple(map(min, self.base, v))
+        return _PathClosure(self.chosen + (v,), closure, base, num, den)
+
+    def violates(self, d: int, n: int) -> bool:
+        """Some chosen subfamily beats the family slope cap of every completion."""
+        return self.den > 0 and self.num * (n - 1) > (sum(self.base) - n * d) * self.den
+
+    def accepts(self, d: int, stable: bool) -> bool:
+        """Whether ``verdict`` would call the chosen family Stable or (unless
+        ``stable``) SemistableNotStable.
+
+        Two members are Stable.  Otherwise the reduction by ``base`` must be
+        primary, and the best proper subfamily meets the family slope, the
+        value of ``base``, the only entry with s = n.  While deg g <= d,
+        (deg g - k*d)/(k - 1) is nondecreasing in k, so every other entry is
+        best at k = s; k = n - 1 under ``base`` stays below the family slope,
+        as deg base < d.  So ``violates`` means Unstable, and an entry with
+        2 <= s < n at the family slope means SemistableNotStable.
+        """
+        n = len(self.chosen)
+        if n == 2:
+            return True
+        reduced = (tuple(x - b for x, b in zip(v, self.base)) for v in self.chosen)
+        if self.violates(d, n) or len(_pure_powers(reduced)) < len(self.base):
+            return False
+        cap = sum(self.base) - n * d
+        return not stable or all(
+            (sum(g) - s * d) * (n - 1) != cap * (s - 1)
+            for g, s in self.closure.items()
+            if 2 <= s < n
+        )
 
 
 @dataclass(frozen=True)
@@ -287,47 +368,27 @@ def slope_summary(family: MonomialFamily, brute: bool = False) -> MaxSlopeResult
     return _summary(family, brute)
 
 
-def same_degree_profile(family: MonomialFamily) -> dict[Monomial, int]:
-    """Multiplicity counts s_nu for every candidate divisor nu of degree < d.
-
-    Candidates are the gcds of subfamilies; for any other divisor the gcd of
-    its multiples gives an equal count at larger or equal degree, so checking
-    gcds suffices for the equal-degree criterion.
-    """
-    degs = family.degrees()
-    d = degs[0]
-    if any(x != d for x in degs):
-        raise PreconditionError(
-            "constant-degree", "the equal-degree profile needs all degrees equal"
-        )
-    vectors = family.exponent_vectors()
-    profile: dict[Monomial, int] = {}
-    for g in _meet_closure(vectors):
-        if sum(g) >= d:
-            continue
-        profile[Monomial(g)] = sum(1 for v in vectors if _divides(g, v))
-    return profile
-
-
 def same_degree_check(family: MonomialFamily) -> tuple[bool, Optional[Monomial]]:
     """Equal-degree semistability test: (s_nu - 1)/(d - e) <= (n - 1)/d.
 
-    Checks every divisor degree e = |nu| < d via the subfamily-gcd profile and
-    returns a violating nu of maximal degree on failure.  For primary families
+    Checks every subfamily gcd nu of degree e = |nu| < d, with s_nu its number
+    of multiples in the family, and returns a violating nu of maximal degree
+    on failure.  For any other divisor the gcd of its multiples gives an equal
+    count at larger or equal degree, so checking gcds suffices; the counts are
+    those of a ``_PathClosure`` folded over the members.  For primary families
     of constant degree this is equivalent to the verdict not being Unstable.
     """
-    n = len(family)
-    d = family.degrees()[0]
-    profile = same_degree_profile(family)
+    n, d = len(family), family.degrees()[0]
+    if set(family.degrees()) != {d}:
+        raise PreconditionError("constant-degree", "the equal-degree check needs equal degrees")
+    state = reduce(lambda acc, v: acc.push(v, d), family.exponent_vectors(), _PathClosure())
+    # a gcd of degree d is a member, counted once, so s >= 2 implies |nu| < d
     violations = [
-        nu
-        for nu, s in profile.items()
-        if s >= 2 and (s - 1) * d > (n - 1) * (d - nu.degree())
+        g for g, s in state.closure.items() if s >= 2 and (s - 1) * d > (n - 1) * (d - sum(g))
     ]
     if not violations:
         return True, None
-    violations.sort(key=lambda nu: (-nu.degree(), nu.exponents))
-    return False, violations[0]
+    return False, Monomial(min(violations, key=lambda g: (-sum(g), g)))
 
 
 def powers_check(degrees: Sequence[int]) -> bool:
@@ -350,14 +411,14 @@ def four_monomial_check(d1: int, d2: int, d3: int, a: Sequence[int] | Monomial) 
     sum; (ii) every two-member subfamily has degree sum minus gcd degree at
     least one third of the total.
     """
-    exps = tuple(a.exponents) if isinstance(a, Monomial) else tuple(int(x) for x in a)
+    exps = tuple(a.exponents) if isinstance(a, Monomial) else tuple(a)
     if len(exps) != 3:
         raise PreconditionError("four-monomial-shape", "the mixed monomial needs 3 exponents")
     ds = (d1, d2, d3)
     if any(x < 1 for x in ds):
         raise PreconditionError("four-monomial-degrees", "pure-power degrees must be >= 1")
-    if any(e < 0 for e in exps):
-        raise PreconditionError("four-monomial-exponents", "exponents must be >= 0")
+    if any(type(e) is not int or e < 0 for e in exps):
+        raise PreconditionError("four-monomial-exponents", "exponents must be integers >= 0")
     if not all(e < dd for e, dd in zip(exps, ds)):
         raise PreconditionError(
             "four-monomial-exponents", "need a_j < d_j for all three variables"

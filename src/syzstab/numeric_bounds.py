@@ -18,10 +18,11 @@ from .core import PreconditionError
 def necessary_condition(degrees: Sequence[int]) -> tuple[bool, Optional[int]]:
     """Necessary degree condition for a semistable syzygy sheaf.
 
-    For sorted degrees d_1 <= ... <= d_n the master inequality
-    d_1 + ... + d_{n-1} >= (n-2) d_n implies the whole ladder
-    (n-r-1)(d_1+...+d_{r+1}) >= r(d_{r+2}+...+d_n) for r = 1..n-2.
-    Returns (holds, smallest violated r or None).  Vacuously true for n < 3.
+    For sorted degrees d_1 <= ... <= d_n the ladder
+    (n-r-1)(d_1+...+d_{r+1}) >= r(d_{r+2}+...+d_n) must hold for r = 1..n-2.
+    Its last rung is the master inequality d_1 + ... + d_{n-1} >= (n-2) d_n,
+    which implies the others.  Returns (holds, smallest violated r or None).
+    Vacuously true for n < 3.
     """
     ds = list(degrees)
     if any(x < 1 for x in ds):
@@ -29,14 +30,9 @@ def necessary_condition(degrees: Sequence[int]) -> tuple[bool, Optional[int]]:
     if ds != sorted(ds):
         raise PreconditionError("degrees-sorted", "degrees must be sorted ascending")
     n = len(ds)
-    if n < 3:
-        return True, None
-    if sum(ds[:-1]) >= (n - 2) * ds[-1]:
-        return True, None
-    for r in range(1, n - 1):
-        if (n - r - 1) * sum(ds[: r + 1]) < r * sum(ds[r + 1 :]):
-            return False, r
-    raise AssertionError("master inequality failed but every r-condition held")
+    ladder = range(1, n - 1)
+    r = next((r for r in ladder if (n - r - 1) * sum(ds[: r + 1]) < r * sum(ds[r + 1 :])), None)
+    return r is None, r
 
 
 def flenner_restriction_degree(N: int, r: int) -> int:

@@ -77,6 +77,20 @@ def test_monomial_rejects_negative():
         M(-1, 2)
 
 
+@pytest.mark.parametrize("exps", [(2.0, 1), (2.9, 0), (True, 2), (1, "2"), (None,)])
+def test_monomial_rejects_non_integer_exponents(exps):
+    # refused rather than truncated: 2.9 would silently become 2, True 1
+    with pytest.raises(ValueError):
+        Monomial(exps)
+    with pytest.raises(ValueError):
+        MonomialFamily.from_exponents([exps, (0,) * (len(exps) - 1) + (3,)])
+
+
+def test_family_rejects_truncated_exponent_vectors():
+    with pytest.raises(ValueError):
+        MonomialFamily.from_exponents([[2.9, 0], [0, 2.2], [1, 1]])
+
+
 def test_family_rejects_duplicates_and_small():
     with pytest.raises(ValueError):
         MonomialFamily.from_exponents([(1, 0), (1, 0)])

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import lcm, prod
@@ -12,6 +13,7 @@ from syzstab.generic_line import (
     LineMap,
     LineTestStatus,
     _candidates,
+    _nonzero_minor,
     _symbolic_rows,
     line_independence_test,
     restrict_to_line,
@@ -237,3 +239,30 @@ def test_exhaustive_mode_is_decisive(family, trials, seed):
             m = lcm(*(c.denominator for c in row))
             scaled.append([int(c * m) for c in row])
         assert _bareiss_rank(scaled) == len(family)
+
+
+def _leibniz_minor(rows, n, d):
+    """First nonzero maximal minor, each a Leibniz sum over all n! permutations."""
+    for cols in itertools.combinations(range(d + 1), n):
+        det = rows[0][0] * 0
+        for perm in itertools.permutations(range(n)):
+            product = (-1) ** sum(p > q for p, q in itertools.combinations(perm, 2))
+            for i, pi in enumerate(perm):
+                product = rows[i][cols[pi]] * product
+            det = det + product
+        if det:
+            return det
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(polynomial_families(max_members=5, max_terms=2), st.booleans())
+def test_shared_laplace_minor_matches_leibniz(family, repeat):
+    if repeat:  # a repeated member: every maximal minor vanishes
+        family = family[:4] + family[:1]
+    nvars, d, n = family[0].nvars, family[0].degree, len(family)
+    rows = _symbolic_rows(family, nvars)
+    minor = _nonzero_minor(rows, n, d)
+    assert minor == _leibniz_minor(rows, n, d)
+    if repeat:
+        assert minor is None

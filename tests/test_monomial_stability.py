@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from syzstab.core import Monomial, MonomialFamily, PreconditionError, VerdictKind, is_primary
 from syzstab.monomial_stability import (
     _brute_extrema,
+    _divides,
+    _meet_closure,
     _pruned_extrema,
     all_monomials_family,
+    degree_vectors,
     family_slope,
     four_monomial_check,
     max_slope,
@@ -371,6 +374,38 @@ def test_same_degree_check_matches_verdict():
         assert ok == (verdict(F).kind != VerdictKind.UNSTABLE)
 
 
+def _profile_check(family):
+    """Former equal-degree check: s_nu for each gcd of degree < d, from the
+    fixpoint meet closure and a divisibility count per member."""
+    n, d, vectors = len(family), family.degrees()[0], family.exponent_vectors()
+    violations = []
+    for g in _meet_closure(vectors):
+        s = sum(1 for v in vectors if _divides(g, v))
+        if sum(g) < d and s >= 2 and (s - 1) * d > (n - 1) * (d - sum(g)):
+            violations.append(Monomial(g))
+    if not violations:
+        return True, None
+    return False, min(violations, key=lambda nu: (-nu.degree(), nu.exponents))
+
+
+@st.composite
+def equal_degree_families(draw):
+    """2-12 distinct members of one degree in 2-4 variables, primary or not."""
+    nvars, d = draw(st.integers(2, 4)), draw(st.integers(1, 6))
+    monos = list(degree_vectors(nvars, d))
+    n = draw(st.integers(2, min(12, len(monos))))
+    vectors = draw(st.lists(st.sampled_from(monos), min_size=n, max_size=n, unique=True))
+    if draw(st.booleans()):
+        vectors += [v for v in monos if v.count(0) == nvars - 1 and v not in vectors]
+    return MonomialFamily.from_exponents(vectors, nvars)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(equal_degree_families())
+def test_same_degree_check_matches_profile_oracle(family):
+    assert same_degree_check(family) == _profile_check(family)
+
+
 def test_powers_check_examples():
     assert powers_check([2, 2, 2])
     assert not powers_check([1, 1, 3])
@@ -398,6 +433,14 @@ def test_four_monomial_check_examples():
     assert not four_monomial_check(3, 3, 3, (1, 2, 2))
     with pytest.raises(PreconditionError):
         four_monomial_check(3, 3, 3, (3, 0, 0))
+
+
+@pytest.mark.parametrize("a", [(1.9, 0.5, 0), (1.0, 1, 0), (True, 0, 0), (1, 1, "0")])
+def test_four_monomial_check_refuses_non_integer_exponents(a):
+    # (1.9, 0.5, 0) would otherwise be read as (1, 0, 0) and return False
+    with pytest.raises(PreconditionError) as info:
+        four_monomial_check(2, 2, 2, a)
+    assert info.value.criterion == "four-monomial-exponents"
 
 
 def test_four_monomial_check_matches_verdict_small_grid():

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syzstab.core import PreconditionError
 from syzstab.numeric_bounds import (
@@ -54,6 +56,16 @@ def test_master_inequality_equivalence_small():
                     (n - failing - 1) * sum(ds[: failing + 1])
                     >= failing * sum(ds[failing + 1 :])
                 )
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 40), max_size=12).map(sorted))
+def test_necessary_condition_is_the_master_inequality(ds):
+    n = len(ds)
+    holds, failing = necessary_condition(ds)
+    assert holds == (n < 3 or sum(ds[:-1]) >= (n - 2) * ds[-1])
+    scan = [r for r in range(1, n - 1) if (n - r - 1) * sum(ds[: r + 1]) < r * sum(ds[r + 1 :])]
+    assert failing == (scan[0] if scan else None)
 
 
 def test_flenner_thresholds_on_the_plane():

@@ -1,5 +1,7 @@
 import io
+import itertools
 from fractions import Fraction
+from functools import reduce
 from math import comb
 
 import pytest
@@ -7,21 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syzstab.cli import run
-from syzstab.core import PreconditionError, VerdictKind, is_primary
+from syzstab.core import MonomialFamily, PreconditionError, VerdictKind, is_primary
 from syzstab.monomial_stability import (
     _divides,
     _meet_closure,
+    _PathClosure,
     _vmeet,
     degree_vectors,
     oracle_verdict,
     verdict,
 )
-from syzstab.search import (
-    SearchSpec,
-    SearchStatus,
-    _PathClosure,
-    find_semistable_family,
-)
+from syzstab.search import SearchSpec, SearchStatus, find_semistable_family
+
+ACCEPTED = {
+    "semistable": (VerdictKind.STABLE, VerdictKind.SEMISTABLE_NOT_STABLE),
+    "stable": (VerdictKind.STABLE,),
+}
 
 
 def _partial_violates(chosen, d, n):
@@ -158,6 +161,37 @@ def test_path_closure_matches_from_scratch_prune(case):
         assert state.violates(d, n) == _partial_violates(chosen, d, n)
 
 
+@st.composite
+def equal_degree_families(draw):
+    """2-10 distinct members of one degree d <= 6 in 2-4 variables: a common
+    factor g of degree e < d times monomials of degree d - e, with some of
+    their pure powers, so that every verdict kind occurs."""
+    variables, d = draw(st.integers(2, 4)), draw(st.integers(1, 6))
+    e = draw(st.integers(0, d - 1))
+    g = draw(st.sampled_from(list(degree_vectors(variables, e))))
+    monos = list(degree_vectors(variables, d - e))
+    pure = [v for v in monos if v.count(0) == variables - 1]
+    top = min(10, len(monos))
+    n = top - draw(st.integers(0, top - 2))  # shrinks towards many members
+    chosen = draw(st.lists(st.sampled_from(pure), max_size=n, unique=True))
+    k = n - len(chosen)
+    if k:
+        rest = st.sampled_from([v for v in monos if v not in chosen])
+        chosen += draw(st.lists(rest, min_size=k, max_size=k, unique=True))
+    members = [tuple(a + b for a, b in zip(g, v)) for v in draw(st.permutations(chosen))]
+    return d, members
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(equal_degree_families())
+def test_leaf_rule_matches_verdict(case):
+    d, members = case
+    state = reduce(lambda state, v: state.push(v, d), members, _PathClosure())
+    kind = verdict(MonomialFamily.from_exponents(members)).kind
+    for require, accepted in ACCEPTED.items():
+        assert state.accepts(d, require == "stable") == (kind in accepted)
+
+
 def test_spec_validation():
     with pytest.raises(PreconditionError):
         SearchSpec(variables=3, degree=2, count=7)  # only 6 monomials exist
@@ -200,6 +234,32 @@ def test_prune_is_sound_property(spec):
     assert pruned.status == plain.status
     assert pruned.family == plain.family
     assert pruned.nodes <= plain.nodes
+
+
+def _first_accepted(spec):
+    """First n-subset in combinations order whose verdict is acceptable."""
+    for combo in itertools.combinations(degree_vectors(spec.variables, spec.degree), spec.count):
+        family = MonomialFamily.from_exponents(combo, spec.variables)
+        if spec.primary_only and not is_primary(family):
+            continue
+        if verdict(family).kind in ACCEPTED[spec.require]:
+            return family
+    return None
+
+
+def test_search_returns_the_first_subset_the_verdict_accepts():
+    # the leaf rule replaces the verdict engine in the search, so both the
+    # pruned and the unpruned DFS are checked against a plain scan over subsets
+    for variables, degree in SMALL_RANGES:
+        for count in range(2, comb(variables - 1 + degree, degree) + 1):
+            for require, primary_only in itertools.product(ACCEPTED, (False, True)):
+                spec = SearchSpec(variables, degree, count, require=require,
+                                  primary_only=primary_only)
+                family = _first_accepted(spec)
+                status = SearchStatus.EXHAUSTED if family is None else SearchStatus.FOUND
+                for prune in (True, False):
+                    result = find_semistable_family(spec, prune=prune)
+                    assert (result.status, result.family) == (status, family), (spec, prune)
 
 
 def test_determinism():
