@@ -8,13 +8,24 @@ smaller dimension, so
 
 A modular rank equal to min(rows, cols) is therefore the exact rank.
 ``integer_rank`` eliminates modulo 2 first, on bit-packed rows where a row
-operation is one XOR, and then modulo the prime ``PRIME`` below 2^30, on the
+operation is one XOR, and then modulo the prime ``PRIME`` = 2^30 - 35, on the
 matrix oriented to have no more rows than columns (transposed if needed).
 
-A rank rho mod ``PRIME`` below that is certified from the same elimination.
-Each of the rows - rho rows that reduced to zero yields a left-kernel vector
-mod p, y = e_i - sum c_r e_r over the pivot rows r, by back-substitution
-through the recorded row operations.  Its entries are lifted to rationals by
+Modulo ``PRIME`` each row is one integer with a 64-bit slot per column,
+column 0 in the top slot, and a row operation is one multiply-add on whole
+integers: v = (v - s * 2^(64 k)) + (PRIME - g) * tail clears leading slot k
+(value s) against the residues of the pivot row leading in slot k, where
+g = s / (that row's leading entry) mod PRIME.  Each operation adds less than
+(PRIME - 1)^2 < 2^60 to a slot, so slots never carry into each other if they
+are folded every 15 operations; since 2^30 = 35 (mod PRIME),
+v -> (v mod 2^30) + 35 * (v >> 30) slot by slot, twice, leaves every slot
+below 2^30 + 2^16 < 2 * PRIME, and one conditional subtraction of PRIME per
+slot makes the residues canonical.
+
+A rank rho mod ``PRIME`` below min(rows, cols) is certified from the same
+elimination.  Each of the rows - rho rows that reduced to zero yields a
+left-kernel vector mod p, y = e_i - sum c_r e_r over the pivot rows r, by
+back-substitution through the recorded row operations.  Its entries are lifted to rationals by
 rational reconstruction (Wang-Guy-Davenport) and y^T A = 0 is checked exactly
 over the integers.  Each y is 1 at its own dependent row and 0 at the others,
 so verified vectors are independent over Q and rank <= rho, while the modular
@@ -30,7 +41,6 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from itertools import islice
 from math import isqrt, lcm
 from operator import mul
 from typing import Optional, Sequence
@@ -46,6 +56,13 @@ _LIFT_BOUND = isqrt(PRIME // 2)
 # lowest byte within a native 64-bit array item.
 _PARITY = bytes(b"01"[b & 1] for b in range(256))
 _LOW_BYTE = 0 if sys.byteorder == "little" else 7
+
+# Rows mod PRIME are packed one entry per 64-bit slot.  A slot starts below
+# 2^31 and a row operation adds less than (PRIME - 1)^2 to it, so it cannot
+# carry into the next slot within _FOLD_EVERY operations; then every slot is
+# folded back to a residue by 2^30 = 35 (mod PRIME).
+_FOLD_EVERY = 15
+assert PRIME < 1 << 30 and (1 << 31) + _FOLD_EVERY * (PRIME - 1) ** 2 < 1 << 64
 
 # One reduced row: the (pivot number, f) multipliers subtracted from it, and
 # the inverse of the leading entry it was scaled by (0 if it reduced to zero).
@@ -108,33 +125,66 @@ def _rank_mod_p(rows: Sequence[Sequence[int]], full: int) -> tuple[int, list[_St
     """Rank modulo ``PRIME``, stopping once it reaches ``full``, and the
     row operations that found it, one ``_Step`` per row reduced.
 
-    Each row is reduced against the pivot rows found so far, in the order
-    they were found; a pivot row is kept from its leading column on and
-    scaled to a leading 1.  Entries of the row being reduced are taken
-    modulo ``PRIME`` only where a pivot reads them and once at the end.
+    Each row is packed into one integer (``_pack``), so its leading column
+    is read off its bit length.  A row is reduced at its leading slot
+    against the pivot row that leads there, if any, by one multiply-add on
+    the whole integer.  A pivot row is kept as residues below ``PRIME``
+    without its leading entry, next to that entry's inverse, and the
+    multiplier recorded is the one of the pivot row scaled to a leading 1.
     """
     p = PRIME
-    pivots: list[tuple[int, list[int]]] = []
+    ones = _pack([1] * len(rows[0]))
+    low30 = ones * ((1 << 30) - 1)
+    low34 = ones * ((1 << 34) - 1)
+    under = ones * 35
+
+    def residues(v: int) -> int:
+        # Two folds take each slot below 2^30 + 2^16 < 2 * PRIME, and PRIME
+        # is subtracted where slot + 35 reaches 2^30.
+        v = (v & low30) + 35 * ((v >> 30) & low34)
+        v = (v & low30) + 35 * ((v >> 30) & low34)
+        return v - p * (((v + under) >> 30) & ones)
+
+    pivots: dict[int, tuple[int, int, int]] = {}
     steps: list[_Step] = []
     for row in rows:
-        v = list(row)
+        v = _pack([x % p for x in row])
         mults = []
-        for k, (c, tail) in enumerate(pivots):
-            f = v[c] % p
-            if f:
-                v[c:] = [a - f * b for a, b in zip(islice(v, c, None), tail)]
-                mults.append((k, f))
-        v = [x % p for x in v]
-        lead = next((c for c, x in enumerate(v) if x), None)
-        if lead is None:
+        ops = 0
+        while v:
+            shift = (v.bit_length() - 1) >> 6 << 6
+            s = v >> shift
+            f = s % p
+            if not f:
+                v ^= s << shift
+                continue
+            pivot = pivots.get(shift)
+            if pivot is None:
+                break
+            k, inv, tail = pivot
+            v = (v ^ (s << shift)) + (p - f * inv % p) * tail
+            mults.append((k, f))
+            ops += 1
+            if ops == _FOLD_EVERY:
+                v, ops = residues(v), 0
+        if not v:
             steps.append((mults, 0))
             continue
-        inv = pow(v[lead], -1, p)
+        inv = pow(f, -1, p)
         steps.append((mults, inv))
-        pivots.append((lead, [x * inv % p for x in islice(v, lead, None)]))
+        pivots[shift] = (len(pivots), inv, residues(v) ^ (f << shift))
         if len(pivots) == full:
             break
     return len(pivots), steps
+
+
+def _pack(entries: list[int]) -> int:
+    """The integer with one 64-bit slot per entry (each below 2^64), the
+    first entry in the top slot."""
+    words = array("Q", entries)
+    if sys.byteorder == "little":
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "big")
 
 
 def _kernel_certified(rows: Sequence[Sequence[int]], steps: list[_Step]) -> bool:

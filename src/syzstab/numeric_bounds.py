@@ -15,6 +15,15 @@ from typing import Optional, Sequence
 from .core import PreconditionError
 
 
+def _degrees(values: Sequence[int], name: str = "degrees") -> list[int]:
+    """``values`` as a list, refusing any value whose type is not ``int``: a
+    float would be truncated or compared inexactly, a bool read as 0 or 1."""
+    ds = list(values)
+    if any(type(x) is not int for x in ds):
+        raise PreconditionError("degrees-integer", f"{name} must be integers; got {ds!r}")
+    return ds
+
+
 def necessary_condition(degrees: Sequence[int]) -> tuple[bool, Optional[int]]:
     """Necessary degree condition for a semistable syzygy sheaf.
 
@@ -24,7 +33,7 @@ def necessary_condition(degrees: Sequence[int]) -> tuple[bool, Optional[int]]:
     which implies the others.  Returns (holds, smallest violated r or None).
     Vacuously true for n < 3.
     """
-    ds = list(degrees)
+    ds = _degrees(degrees)
     if any(x < 1 for x in ds):
         raise PreconditionError("degrees-positive", "degrees must be >= 1")
     if ds != sorted(ds):
@@ -52,7 +61,7 @@ def flenner_restriction_degree(N: int, r: int) -> int:
 
 def discriminant(degrees: Sequence[int]) -> int:
     """(sum d_i)^2 - (n-1) * sum d_i^2, the restriction-theorem input."""
-    ds = list(degrees)
+    ds = _degrees(degrees)
     total = sum(ds)
     return total * total - (len(ds) - 1) * sum(d * d for d in ds)
 
@@ -64,7 +73,7 @@ def bogomolov_min_degree(degrees: Sequence[int]) -> int:
     Restriction of a stable rank-r sheaf on the plane to every smooth curve
     of degree >= k stays stable.
     """
-    ds = list(degrees)
+    ds = _degrees(degrees)
     n = len(ds)
     if n < 3:
         raise PreconditionError("bogomolov-size", "need at least 3 degrees (rank >= 2)")
@@ -76,7 +85,7 @@ def bogomolov_min_degree(degrees: Sequence[int]) -> int:
 
 def tight_closure_bound(degrees: Sequence[int]) -> Fraction:
     """The degree threshold sum(d_i)/(n-1) in the tight-closure inclusion."""
-    ds = list(degrees)
+    ds = _degrees(degrees)
     if len(ds) < 2:
         raise PreconditionError("bound-size", "need at least 2 degrees")
     return Fraction(sum(ds), len(ds) - 1)
@@ -99,6 +108,7 @@ def generic_forms_predicate(N: int, d: int, n: int) -> str:
     n <= (N+2)d/3 + 1 (restriction to a genus-two curve); semistability
     holds whenever n <= d(N+1).
     """
+    _degrees([d], "d")
     if N < 2 or d < 1 or n < 2:
         raise PreconditionError("generic-forms-range", "need N >= 2, d >= 1, n >= 2")
     if N == 2 and Fraction(n) <= Fraction(4 * d, 5) + 1:
@@ -123,8 +133,8 @@ class ResolutionPair:
     N: int
 
     def __post_init__(self):
-        a = tuple(int(x) for x in self.a)
-        b = tuple(int(x) for x in self.b)
+        a = tuple(_degrees(self.a, "a"))
+        b = tuple(_degrees(self.b, "b"))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         if self.N < 1:
@@ -163,7 +173,7 @@ def parameter_criterion(N: int, degrees_desc: Sequence[int]) -> bool:
 
     Equivalent to the resolution test with a = (0), b = degrees.
     """
-    ds = list(degrees_desc)
+    ds = _degrees(degrees_desc)
     if N < 2:
         raise PreconditionError("parameter-dimension", "need N >= 2")
     if len(ds) != N + 1:
@@ -221,7 +231,7 @@ def bounds_report(degrees: Sequence[int], N: int) -> BoundsReport:
     for N = 2 and rank >= 2, the generic-forms conclusion only for constant
     degrees.
     """
-    ds = tuple(sorted(int(x) for x in degrees))
+    ds = tuple(sorted(_degrees(degrees)))
     if any(x < 1 for x in ds):
         raise PreconditionError("degrees-positive", "degrees must be >= 1")
     if N < 1:

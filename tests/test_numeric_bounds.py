@@ -176,3 +176,37 @@ def test_bounds_report():
     # the five-generator threshold note is surfaced
     rep5 = bounds_report([2] * 5, 2)
     assert any("R/r" in note for note in rep5.notes)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda ds: necessary_condition(sorted(ds)),
+        discriminant,
+        lambda ds: bogomolov_min_degree(list(ds) + [4]),
+        tight_closure_bound,
+        lambda ds: generic_forms_predicate(2, ds[0], 3),
+        lambda ds: ResolutionPair((0,), tuple(sorted(ds, reverse=True)), 1),
+        lambda ds: ResolutionPair((ds[0],), (6, 6), 1),
+        lambda ds: parameter_criterion(2, sorted(list(ds) + [4], reverse=True)),
+        lambda ds: bounds_report(ds, 2),
+    ],
+    ids=[
+        "necessary_condition",
+        "discriminant",
+        "bogomolov_min_degree",
+        "tight_closure_bound",
+        "generic_forms_predicate",
+        "ResolutionPair_b",
+        "ResolutionPair_a",
+        "parameter_criterion",
+        "bounds_report",
+    ],
+)
+def test_non_integral_degrees_are_refused(entry):
+    # each entry accepts the integer pair, so only the type of a value differs
+    entry([2, 3])
+    for bad in ([2.5, 3], [2.0, 3], [True, 3], [Fraction(2), 3]):
+        with pytest.raises(PreconditionError) as err:
+            entry(bad)
+        assert err.value.criterion == "degrees-integer"
