@@ -1,15 +1,14 @@
 """Exact rank computation for integer and rational matrices.
 
-The rank is certified by reduction modulo primes.  Reducing an integer matrix
+The rank is certified by reduction modulo a prime.  Reducing an integer matrix
 modulo a prime p cannot raise its rank, and no rank exceeds the matrix's
 smaller dimension, so
 
     rank mod p  <=  rank over Q  <=  min(rows, cols).
 
 A modular rank equal to min(rows, cols) is therefore the exact rank.
-``integer_rank`` eliminates modulo 2 first, on bit-packed rows where a row
-operation is one XOR, and then modulo the prime ``PRIME`` = 2^30 - 35, on the
-matrix oriented to have no more rows than columns (transposed if needed).
+``integer_rank`` eliminates once, modulo the prime ``PRIME`` = 2^30 - 35, on
+the matrix oriented to have no more rows than columns (transposed if needed).
 
 Modulo ``PRIME`` each row is one integer with a 64-bit slot per column,
 column 0 in the top slot, and a row operation is one multiply-add on whole
@@ -25,15 +24,16 @@ slot makes the residues canonical.
 A rank rho mod ``PRIME`` below min(rows, cols) is certified from the same
 elimination.  Each of the rows - rho rows that reduced to zero yields a
 left-kernel vector mod p, y = e_i - sum c_r e_r over the pivot rows r, by
-back-substitution through the recorded row operations.  Its entries are lifted to rationals by
-rational reconstruction (Wang-Guy-Davenport) and y^T A = 0 is checked exactly
-over the integers.  Each y is 1 at its own dependent row and 0 at the others,
-so verified vectors are independent over Q and rank <= rho, while the modular
-rank gives rank >= rho.  Only when a lift or a check fails (kernel entries
-beyond the one-prime bound, or an unlucky prime whose modular rank is below
-the rank over Q) does fraction-free Gaussian elimination over the integers (single-step
-Bareiss) decide: every division is exact by the Sylvester determinant
-identity, so entries stay integers and never lose precision.
+back-substitution through the recorded row operations.  Its entries are
+lifted to rationals by rational reconstruction (Wang-Guy-Davenport) and
+y^T A = 0 is checked exactly over the integers.  Each y is 1 at its own
+dependent row and 0 at the others, so verified vectors are independent over
+Q and rank <= rho, while the modular rank gives rank >= rho.  Only when a
+lift or a check fails (kernel entries beyond the one-prime bound, or an
+unlucky prime whose modular rank is below the rank over Q) does
+fraction-free Gaussian elimination over the integers (single-step Bareiss)
+decide: every division is exact by the Sylvester determinant identity, so
+entries stay integers and never lose precision.
 """
 
 from __future__ import annotations
@@ -52,11 +52,6 @@ PRIME = 1_073_741_789
 # the rational reconstruction of a residue unique when it exists.
 _LIFT_BOUND = isqrt(PRIME // 2)
 
-# Maps each byte to the base-2 digit of its parity, and the offset of the
-# lowest byte within a native 64-bit array item.
-_PARITY = bytes(b"01"[b & 1] for b in range(256))
-_LOW_BYTE = 0 if sys.byteorder == "little" else 7
-
 # Rows mod PRIME are packed one entry per 64-bit slot.  A slot starts below
 # 2^31 and a row operation adds less than (PRIME - 1)^2 to it, so it cannot
 # carry into the next slot within _FOLD_EVERY operations; then every slot is
@@ -72,53 +67,19 @@ _Step = tuple[list[tuple[int, int]], int]
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     """Exact rank of an integer matrix.
 
-    A full rank modulo 2 or modulo ``PRIME`` is returned at once.  A rank
-    deficient modulo both is returned once a left-kernel certificate lifted
-    from the mod-``PRIME`` elimination checks exactly; otherwise fraction-free
-    elimination decides.
+    A full rank modulo ``PRIME`` is returned at once.  A deficient one is
+    returned once a left-kernel certificate lifted from the same elimination
+    checks exactly; otherwise fraction-free elimination decides.
     """
     if not rows or not rows[0]:
         return 0
     full = min(len(rows), len(rows[0]))
-    if _rank_mod2(rows, full) == full:
-        return full
     if len(rows) > len(rows[0]):
         rows = list(zip(*rows))
     rank, steps = _rank_mod_p(rows, full)
     if rank == full or _kernel_certified(rows, steps):
         return rank
     return _bareiss_rank(rows)
-
-
-def _rank_mod2(rows: Sequence[Sequence[int]], full: int) -> int:
-    """Rank modulo 2, stopping once it reaches ``full``.
-
-    Each row is packed into one integer, one bit per entry, set where the
-    entry is odd; rows reduce by XOR against a basis keyed by leading bit.
-    """
-    basis: dict[int, int] = {}
-    for row in rows:
-        v = _parity_bits(row)
-        while v:
-            top = v.bit_length()
-            b = basis.get(top)
-            if b is None:
-                basis[top] = v
-                if len(basis) == full:
-                    return full
-                break
-            v ^= b
-    return len(basis)
-
-
-def _parity_bits(row: Sequence[int]) -> int:
-    """The integer whose bit j (from the top) is the parity of entry j."""
-    try:
-        # The lowest byte of a two's-complement word has the entry's parity.
-        low = array("q", row).tobytes()[_LOW_BYTE::8]
-    except OverflowError:  # an entry does not fit in 64 bits
-        low = bytes([x & 1 for x in row])
-    return int(low.translate(_PARITY), 2)
 
 
 def _rank_mod_p(rows: Sequence[Sequence[int]], full: int) -> tuple[int, list[_Step]]:

@@ -396,8 +396,8 @@ def powers_check(degrees: Sequence[int]) -> bool:
     ds = list(degrees)
     if len(ds) < 2:
         raise PreconditionError("powers-length", "need at least two degrees")
-    if any(x < 1 for x in ds):
-        raise PreconditionError("powers-positive", "degrees must be positive")
+    if any(type(x) is not int or x < 1 for x in ds):
+        raise PreconditionError("powers-positive", "degrees must be integers >= 1")
     if ds != sorted(ds):
         raise PreconditionError("powers-sorted", "degrees must be sorted ascending")
     N = len(ds) - 1
@@ -415,8 +415,10 @@ def four_monomial_check(d1: int, d2: int, d3: int, a: Sequence[int] | Monomial) 
     if len(exps) != 3:
         raise PreconditionError("four-monomial-shape", "the mixed monomial needs 3 exponents")
     ds = (d1, d2, d3)
-    if any(x < 1 for x in ds):
-        raise PreconditionError("four-monomial-degrees", "pure-power degrees must be >= 1")
+    if any(type(x) is not int or x < 1 for x in ds):
+        raise PreconditionError(
+            "four-monomial-degrees", "pure-power degrees must be integers >= 1"
+        )
     if any(type(e) is not int or e < 0 for e in exps):
         raise PreconditionError("four-monomial-exponents", "exponents must be integers >= 0")
     if not all(e < dd for e, dd in zip(exps, ds)):

@@ -65,20 +65,15 @@ def evaluation_matrix(family: FamilyLike, twist: int) -> list[list[int]]:
     if twist < 0:
         return []
     row_index = {v: i for i, v in enumerate(degree_vectors(nvars, twist))}
-    columns: list[dict[int, int]] = []
-    for poly in polys:
+    bases = [list(degree_vectors(nvars, twist - p.degree)) for p in polys]
+    rows = [[0] * sum(map(len, bases)) for _ in row_index]
+    j = 0
+    for poly, basis in zip(polys, bases):
         terms = _integer_terms(poly)
-        for b in degree_vectors(nvars, twist - poly.degree):
-            col: dict[int, int] = {}
+        for b in basis:
             for coeff, t in terms:
-                prod = tuple(x + y for x, y in zip(b, t))
-                row = row_index[prod]
-                col[row] = col.get(row, 0) + coeff
-            columns.append(col)
-    rows = [[0] * len(columns) for _ in range(len(row_index))]
-    for j, col in enumerate(columns):
-        for i, value in col.items():
-            rows[i][j] = value
+                rows[row_index[tuple(map(add, b, t))]][j] += coeff
+            j += 1
     return rows
 
 
@@ -90,9 +85,9 @@ def syzygy_section_dim(family: FamilyLike, twist: int) -> int:
     exactly one nonzero entry, so the rank is the number of distinct products
     b*t of a component basis monomial b with its member's term t, counted
     without building the matrix.  Otherwise ``integer_rank`` decides: a full
-    rank mod 2 or mod ``_matrix.PRIME`` is exact, a deficient one is exact
-    once a lifted left-kernel certificate checks over the integers, and
-    Bareiss elimination runs only when that check fails.
+    rank mod ``_matrix.PRIME`` is exact, a deficient one is exact once a
+    lifted left-kernel certificate checks over the integers, and Bareiss
+    elimination runs only when that check fails.
     """
     polys, nvars = _as_polynomials(family)
     if all(len(p.terms) == 1 for p in polys):
@@ -141,20 +136,19 @@ def _reject_common_monomial_factor(polys: list[Polynomial], criterion: str) -> N
         )
 
 
-def _scan_for_section(
-    polys: list[Polynomial], exclusive_bound: int
-) -> Optional[tuple[int, int]]:
-    """First twist in [max(0, min degree), exclusive_bound) with a section.
+def _scan_for_section(polys: list[Polynomial], rank: int) -> Optional[StabilityVerdict]:
+    """Unstable, witnessed by the first twist m with a section and
+    rank * m < d_1 + ... + d_n, or None when there is no such twist.
 
     Twists below the smallest member degree have empty component spaces, so
     the scan starts there; negative twists are vacuous by homogeneity.
     """
-    degs = [p.degree for p in polys]
-    start = max(0, min(degs))
-    for m in range(start, exclusive_bound):
+    total = sum(p.degree for p in polys)
+    for m in range(max(0, min(p.degree for p in polys)), -(-total // rank)):
         dim = syzygy_section_dim(polys, m)
         if dim > 0:
-            return m, dim
+            witness = SectionWitness(m, dim, rank * m - total)
+            return StabilityVerdict(VerdictKind.UNSTABLE, witness, ("destabilizing-section",))
     return None
 
 
@@ -172,13 +166,7 @@ def rank2_verdict(f1: Polynomial, f2: Polynomial, f3: Polynomial) -> StabilityVe
             "rank2-variables", "the rank-2 criterion needs at least 3 variables"
         )
     _reject_common_monomial_factor(polys, "rank2-common-factor")
-    total = sum(p.degree for p in polys)
-    hit = _scan_for_section(polys, (total + 1) // 2)
-    if hit is not None:
-        m, dim = hit
-        witness = SectionWitness(m, dim, 2 * m - total)
-        return StabilityVerdict(VerdictKind.UNSTABLE, witness, ("destabilizing-section",))
-    return StabilityVerdict(
+    return _scan_for_section(polys, 2) or StabilityVerdict(
         VerdictKind.SEMISTABLE, None, ("no-sections-below-slope-bound",)
     )
 
@@ -204,18 +192,15 @@ def rank3_verdict(
             "rank3-variables", "the rank-3 criterion is stated for 3 variables"
         )
     _reject_common_monomial_factor(polys, "rank3-common-factor")
-    degs = sorted(p.degree for p in polys)
-    total = sum(degs)
-    hit = _scan_for_section(polys, (total + 2) // 3)
-    if hit is not None:
-        m, dim = hit
-        witness = SectionWitness(m, dim, 3 * m - total)
-        return StabilityVerdict(VerdictKind.UNSTABLE, witness, ("destabilizing-section",))
+    unstable = _scan_for_section(polys, 3)
+    if unstable is not None:
+        return unstable
     # Monomials have a common zero unless one of them is constant or every
     # variable occurs as a pure power.
     vectors = [p.terms[0][1].exponents for p in polys if len(p.terms) == 1]
     if len(vectors) == 4 and all(map(any, vectors)) and len(_pure_powers(vectors)) < nvars:
         return StabilityVerdict(VerdictKind.INCONCLUSIVE, None, ("not-primary",))
+    degs = sorted(p.degree for p in polys)
     if 2 * degs[3] <= degs[0] + degs[1] + degs[2]:
         return StabilityVerdict(
             VerdictKind.SEMISTABLE,

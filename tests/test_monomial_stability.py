@@ -417,6 +417,15 @@ def test_powers_check_examples():
         powers_check([0, 1])
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, True])
+def test_powers_check_refuses_non_integer_degrees(bad):
+    # [2.5, 3.0, 3.7] would otherwise be compared as numbers and return True
+    for degrees in ([bad, 3, 3], [2, 2, bad]):
+        with pytest.raises(PreconditionError) as info:
+            powers_check(degrees)
+        assert info.value.criterion == "powers-positive"
+
+
 def test_powers_check_matches_verdict_small_grid():
     for N in (1, 2, 3):
         for ds in itertools.combinations_with_replacement(range(1, 5), N + 1):
@@ -441,6 +450,15 @@ def test_four_monomial_check_refuses_non_integer_exponents(a):
     with pytest.raises(PreconditionError) as info:
         four_monomial_check(2, 2, 2, a)
     assert info.value.criterion == "four-monomial-exponents"
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True])
+def test_four_monomial_check_refuses_non_integer_degrees(bad):
+    # (2.5, 3, 3) would otherwise be compared as numbers and return True
+    for degrees in ((bad, 3, 3), (3, 3, bad)):
+        with pytest.raises(PreconditionError) as info:
+            four_monomial_check(*degrees, (1, 1, 1))
+        assert info.value.criterion == "four-monomial-degrees"
 
 
 def test_four_monomial_check_matches_verdict_small_grid():

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from syzstab import _matrix
 from syzstab.core import Monomial, MonomialFamily, Polynomial, PreconditionError, VerdictKind
-from syzstab.monomial_stability import verdict
+from syzstab.monomial_stability import degree_vectors, verdict
 from syzstab.sections import (
     evaluation_matrix,
     min_section_degree_monomial,
@@ -18,7 +18,7 @@ from syzstab.sections import (
     rank3_verdict,
     syzygy_section_dim,
 )
-from syzstab._matrix import PRIME, _bareiss_rank, _rank_mod2, integer_rank
+from syzstab._matrix import PRIME, _bareiss_rank, integer_rank
 
 
 def poly(*terms):
@@ -183,6 +183,55 @@ def test_lowrank_verdicts_agree_with_the_subset_engine(vectors):
     assert lowrank.kind == (VerdictKind.SEMISTABLE if semistable else VerdictKind.UNSTABLE)
 
 
+def column_dict_evaluation_matrix(family, twist):
+    """Oracle for ``evaluation_matrix``: one dict per column, copied into
+    dense rows at the end."""
+    nvars = family[0].nvars
+    if twist < 0:
+        return []
+    row_index = {v: i for i, v in enumerate(degree_vectors(nvars, twist))}
+    columns = []
+    for p in family:
+        denom = lcm(*(c.denominator for c, _ in p.terms))
+        terms = [(int(c * denom), m.exponents) for c, m in p.terms]
+        for b in degree_vectors(nvars, twist - p.degree):
+            col = {}
+            for coeff, t in terms:
+                row = row_index[tuple(x + y for x, y in zip(b, t))]
+                col[row] = col.get(row, 0) + coeff
+            columns.append(col)
+    rows = [[0] * len(columns) for _ in range(len(row_index))]
+    for j, col in enumerate(columns):
+        for i, value in col.items():
+            rows[i][j] = value
+    return rows
+
+
+@st.composite
+def polynomial_families(draw):
+    """1-4 members in 2-4 variables, each of degree 1-4 with 1-3 distinct
+    terms and nonzero integer or rational coefficients of either sign, and
+    a twist in -1..8."""
+    nvars = draw(st.integers(2, 4))
+    coeff = st.one_of(
+        st.integers(-5, 5).filter(bool),
+        st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)),
+    )
+    family = []
+    for _ in range(draw(st.integers(1, 4))):
+        vectors = list(degree_vectors(nvars, draw(st.integers(1, 4))))
+        chosen = draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=3, unique=True))
+        family.append(poly(*((draw(coeff), v) for v in chosen)))
+    return family, draw(st.integers(-1, 8))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(polynomial_families())
+def test_evaluation_matrix_matches_column_dict_oracle(case):
+    family, m = case
+    assert evaluation_matrix(family, m) == column_dict_evaluation_matrix(family, m)
+
+
 def test_section_dim_monotone_once_positive():
     family = mono_polys((3, 0, 0), (1, 2, 0), (0, 2, 1))
     dims = [syzygy_section_dim(family, m) for m in range(0, 9)]
@@ -285,6 +334,7 @@ def test_integer_rank_never_returns_a_deficient_modular_rank():
     assert integer_rank([[PRIME, 0], [0, 2]]) == 2  # rank 1 mod 2 and mod PRIME
     assert integer_rank([[PRIME]]) == 1
     assert integer_rank([[2 * PRIME]]) == 1  # rank 0 mod 2 and mod PRIME
+    assert integer_rank([[PRIME, 1], [0, 1]]) == 2  # rank 2 mod 2, rank 1 mod PRIME
 
 
 def test_modulus_is_prime():
@@ -401,9 +451,6 @@ def test_rational_family_deficient_mod_2_is_certified_mod_p(monkeypatch):
     ]
     coordinates = mono_polys((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for m in range(1, 6):
-        rows = evaluation_matrix(family, m)
-        full = min(len(rows), len(rows[0]))
-        assert _rank_mod2(rows, full) < full
         assert syzygy_section_dim(family, m) == syzygy_section_dim(coordinates, m)
     assert runs == []
 
