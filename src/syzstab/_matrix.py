@@ -1,4 +1,6 @@
-"""Exact rank computation for integer and rational matrices.
+"""Exact rank computation for integer matrices: ``integer_rank`` is the
+package's one rank entry point, and rational input reaches it already scaled
+to integers by ``core._integer_terms``.
 
 The rank is certified by reduction modulo a prime.  Reducing an integer matrix
 modulo a prime p cannot raise its rank, and no rank exceeds the matrix's
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 from typing import Optional, Sequence
@@ -246,13 +247,3 @@ def _bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
         if pr == nr:
             break
     return rank
-
-
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rational matrix; rows are scaled to integers first."""
-    scaled = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        denom = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        scaled.append([int(f * denom) for f in fracs])
-    return integer_rank(scaled)

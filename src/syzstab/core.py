@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -267,6 +268,13 @@ class PolynomialFamily:
 
     def __getitem__(self, i: int) -> Polynomial:
         return self.members[i]
+
+
+def _integer_terms(poly: Polynomial) -> list[tuple[int, tuple[int, ...]]]:
+    """The (coefficient, exponents) terms of ``poly`` times the lcm of its
+    denominators; a member times a nonzero constant spans the same line."""
+    denom = lcm(*(c.denominator for c, _ in poly.terms))
+    return [(int(c * denom), m.exponents) for c, m in poly.terms]
 
 
 FamilyLike = Union[MonomialFamily, PolynomialFamily, Sequence[Polynomial]]

@@ -4,12 +4,16 @@ A linear map X_j -> a_j*U + b_j*V sends each degree-d form to a binary form;
 the test decides whether some map makes the n images linearly independent in
 the (d+1)-dimensional space of degree-d binary forms.  Independence at one
 exact-rank sample is a certificate that holds forever (CertifiedYes); failure
-of all samples is only evidence (ProbablyNo).  One expansion gives both the
-numeric images and the symbolic ones, whose map coefficients are polynomials
-in a_j, b_j.  The optional exhaustive mode expands every n x n minor of the
-symbolic rows: if all vanish identically no map can work (CertifiedNo);
-otherwise the first nonzero one, times a_0*b_1 - a_1*b_0, is read off at a
-point with small integer coordinates, a witness found without sampling.
+of all samples is only evidence (ProbablyNo).  Each member is scaled once to
+integer coefficients (``core._integer_terms``); a member times a nonzero
+constant has its image and every minor through it scaled by a nonzero
+constant, so no rank or zero test changes.  One expansion gives both the
+integer images at a candidate map, ranked by ``integer_rank``, and the
+symbolic ones, whose map coefficients are integer polynomials in a_j, b_j.
+The optional exhaustive mode expands every n x n minor of the symbolic rows:
+if all vanish identically no map can work (CertifiedNo); otherwise the first
+nonzero one, times a_0*b_1 - a_1*b_0, is read off at a point with small
+integer coordinates, a witness found without sampling.
 
 When n = d+1, CertifiedYes makes the images a basis of the binary forms, so
 the restriction of the syzygy bundle to a generic line is a twist of the
@@ -25,12 +29,12 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import add
 from typing import Optional, Sequence
 
-from ._matrix import rational_rank
-from .core import FamilyLike, Polynomial, PreconditionError, _as_polynomials
+from ._matrix import integer_rank
+from .core import FamilyLike, Polynomial, PreconditionError, _as_polynomials, _integer_terms
 
 _BASE_RANGE = 3
 _DOUBLE_EVERY = 8
@@ -87,16 +91,15 @@ def _common_degree(polys: Sequence[Polynomial]) -> int:
     return d
 
 
-def _binary_image(poly: Polynomial, u: Sequence, v: Sequence) -> list:
-    """Coefficients of the image in the basis U^k V^(d-k), k = 0..d.
-
-    The map coefficients u, v may be Fractions or ``_Poly``: anything that adds and multiplies.
-    """
+def _binary_image(terms: Sequence[tuple], d: int, u: Sequence, v: Sequence) -> list:
+    """Coefficients in the basis U^k V^(d-k), k = 0..d, of the image of the
+    degree-d form with (coefficient, exponents) ``terms``; u, v may be ints,
+    Fractions or ``_Poly``: anything that adds and multiplies."""
     zero, one = u[0] * 0, u[0] ** 0
-    out = [zero] * (poly.degree + 1)
-    for coeff, mono in poly.terms:
+    out = [zero] * (d + 1)
+    for coeff, exponents in terms:
         conv = [one]
-        for j, e in enumerate(mono.exponents):
+        for j, e in enumerate(exponents):
             if e == 0:
                 continue
             base = [comb(e, s) * u[j] ** s * v[j] ** (e - s) for s in range(e + 1)]
@@ -119,12 +122,17 @@ def restrict_to_line(family: FamilyLike, line: LineMap) -> list[list[Fraction]]:
         raise PreconditionError(
             "line-variables", "map and family disagree on the variable count"
         )
-    _common_degree(polys)
-    return [_binary_image(p, line.u, line.v) for p in polys]
+    d = _common_degree(polys)
+    terms = ([(c, m.exponents) for c, m in p.terms] for p in polys)
+    return [_binary_image(t, d, line.u, line.v) for t in terms]
 
 
-def _rank_at(polys: Sequence[Polynomial], line: LineMap) -> int:
-    return rational_rank([_binary_image(p, line.u, line.v) for p in polys])
+def _rank_at(members: Sequence[list], d: int, line: LineMap) -> int:
+    """Rank of the images of integer members at ``line`` scaled by its lcm
+    denominator (1 at every candidate), which scales each image by a constant."""
+    s = lcm(*(x.denominator for x in line.u + line.v))
+    u, v = ([int(x * s) for x in w] for w in (line.u, line.v))
+    return integer_rank([_binary_image(t, d, u, v) for t in members])
 
 
 def _sample_line(rng: random.Random, nvars: int, span: int) -> LineMap:
@@ -138,7 +146,7 @@ def _sample_line(rng: random.Random, nvars: int, span: int) -> LineMap:
 
 
 class _Poly(dict):
-    """Polynomial in a_0..a_N, b_0..b_N: exponent tuple -> nonzero Fraction."""
+    """Polynomial in a_0..a_N, b_0..b_N: exponent tuple -> nonzero int."""
 
     def _accumulate(self, terms) -> "_Poly":
         for e, c in terms:
@@ -163,7 +171,7 @@ class _Poly(dict):
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "_Poly":
-        out = _Poly({(0,) * len(next(iter(self))): Fraction(1)})
+        out = _Poly({(0,) * len(next(iter(self))): 1})
         for _ in range(k):
             out = out * self
         return out
@@ -178,13 +186,13 @@ class _Poly(dict):
 def _coordinates(nvars: int) -> list[_Poly]:
     """The map coefficients a_0..a_N, b_0..b_N as polynomials."""
     n2 = 2 * nvars
-    return [_Poly({tuple(int(i == k) for i in range(n2)): Fraction(1)}) for k in range(n2)]
+    return [_Poly({tuple(int(i == k) for i in range(n2)): 1}) for k in range(n2)]
 
 
-def _symbolic_rows(polys: Sequence[Polynomial], nvars: int) -> list[list[_Poly]]:
-    """Restriction rows with the coordinates a_j, b_j as map coefficients."""
+def _symbolic_rows(members: Sequence[list], d: int, nvars: int) -> list[list[_Poly]]:
+    """Restriction rows of integer members with a_j, b_j as map coefficients."""
     x = _coordinates(nvars)
-    return [_binary_image(p, x[:nvars], x[nvars:]) for p in polys]
+    return [_binary_image(t, d, x[:nvars], x[nvars:]) for t in members]
 
 
 def _nonzero_minor(rows: list[list[_Poly]], n: int, d: int) -> Optional[_Poly]:
@@ -248,11 +256,11 @@ def line_independence_test(
     exactly); ProbablyNo is one-sided.  With ``exhaustive=True`` (at most 5
     members in at most 4 variables) the answer is CertifiedYes or CertifiedNo,
     and with ``trials=0`` it does not depend on ``seed``.  A family in fewer
-    than 2 variables (every map is then proportional) and a negative
-    ``trials`` violate the preconditions.
+    than 2 variables (every map is then proportional) and a ``trials`` that
+    is not an ``int`` >= 0 violate the preconditions.
     """
-    if trials < 0:
-        raise PreconditionError("line-trials", f"trials must be >= 0, got {trials}")
+    if type(trials) is not int or trials < 0:
+        raise PreconditionError("line-trials", f"trials must be an integer >= 0, got {trials!r}")
     polys, nvars = _as_polynomials(family)
     if nvars < 2:
         raise PreconditionError("line-variables", "line restriction needs at least 2 variables")
@@ -268,6 +276,7 @@ def line_independence_test(
             0,
             ("more members than the dimension of degree-d binary forms",),
         )
+    members = [_integer_terms(p) for p in polys]
     minor = None
     if exhaustive:
         if n > _EXHAUSTIVE_MAX_MEMBERS or nvars - 1 > _EXHAUSTIVE_MAX_N:
@@ -275,7 +284,7 @@ def line_independence_test(
                 "exhaustive-size",
                 "exhaustive mode handles at most 5 members in at most 4 variables",
             )
-        minor = _nonzero_minor(_symbolic_rows(polys, nvars), n, d)
+        minor = _nonzero_minor(_symbolic_rows(members, d, nvars), n, d)
         if minor is None:
             return LineTestResult(
                 LineTestStatus.CERTIFIED_NO,
@@ -284,6 +293,6 @@ def line_independence_test(
                 ("every maximal minor of the restriction matrix vanishes identically",),
             )
     for line, used in _candidates(nvars, trials, seed, minor):
-        if _rank_at(polys, line) == n:
+        if _rank_at(members, d, line) == n:
             return LineTestResult(LineTestStatus.CERTIFIED_YES, line, used, yes_notes)
     return LineTestResult(LineTestStatus.PROBABLY_NO, None, trials)

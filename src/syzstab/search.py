@@ -40,17 +40,18 @@ class SearchSpec:
     primary_only: bool = False
 
     def __post_init__(self):
-        if self.variables < 2 or self.degree < 1:
-            raise PreconditionError("search-range", "need >= 2 variables and degree >= 1")
+        ints = type(self.variables) is int and type(self.degree) is int
+        if not ints or self.variables < 2 or self.degree < 1:
+            raise PreconditionError("search-range", "need integers: >= 2 variables, degree >= 1")
         if self.require not in ("semistable", "stable"):
             raise PreconditionError("search-require", "require must be semistable or stable")
-        if self.budget < 1:
-            raise PreconditionError("search-budget", "budget must be at least 1 node")
+        if type(self.budget) is not int or self.budget < 1:
+            raise PreconditionError("search-budget", "budget must be an integer >= 1")
         available = comb(self.variables - 1 + self.degree, self.variables - 1)
-        if not 2 <= self.count <= available:
+        if type(self.count) is not int or not 2 <= self.count <= available:
             raise PreconditionError(
                 "search-count",
-                f"count must be between 2 and {available} for this degree",
+                f"count must be an integer between 2 and {available} for this degree",
             )
 
 

@@ -7,16 +7,16 @@ its dimension is the nullity of the evaluation map
     (+) R_{m - d_i}  ->  R_m,    (a_i) |-> sum a_i f_i,
 
 computed here by counting distinct products when every member is a single
-term, and otherwise from the exact rank of its integer matrix (``_matrix``).  A
-section at a twist where the sheaf degree is already negative spans a
-destabilizing line subsheaf; absence of sections below the slope bound
-certifies semistability for sheaves of rank 2 and (with a degree hypothesis)
-rank 3.
+term, and otherwise from the exact rank (``_matrix.integer_rank``) of its
+integer matrix, whose columns come from the members scaled to integer
+coefficients by ``core._integer_terms``.  A section at a twist where the
+sheaf degree is already negative spans a destabilizing line subsheaf;
+absence of sections below the slope bound certifies semistability for
+sheaves of rank 2 and (with a degree hypothesis) rank 3.
 """
 
 from __future__ import annotations
 
-from math import lcm
 from operator import add
 from typing import Optional
 
@@ -31,6 +31,7 @@ from .core import (
     StabilityVerdict,
     VerdictKind,
     _as_polynomials,
+    _integer_terms,
     _pure_powers,
     _vector_gcd,
     join,
@@ -38,20 +39,19 @@ from .core import (
 from .monomial_stability import degree_vectors
 
 
+def _require_int_twist(twist: int) -> None:
+    if type(twist) is not int:
+        raise PreconditionError("twist-integer", f"twist must be an integer, got {twist!r}")
+
+
 def monomial_basis(N: int, m: int) -> list[Monomial]:
     """All monomials of degree m in N+1 variables; empty for m < 0."""
-    if N < 0:
-        raise PreconditionError("basis-variables", "need N >= 0")
+    _require_int_twist(m)
+    if type(N) is not int or N < 0:
+        raise PreconditionError("basis-variables", "need an integer N >= 0")
     if m < 0:
         return []
     return [Monomial(v) for v in degree_vectors(N + 1, m)]
-
-
-def _integer_terms(poly: Polynomial) -> list[tuple[int, tuple[int, ...]]]:
-    # Scaling one member by a constant rescales its syzygy component and
-    # leaves the kernel dimension unchanged.
-    denom = lcm(*(c.denominator for c, _ in poly.terms))
-    return [(int(c * denom), m.exponents) for c, m in poly.terms]
 
 
 def evaluation_matrix(family: FamilyLike, twist: int) -> list[list[int]]:
@@ -61,6 +61,7 @@ def evaluation_matrix(family: FamilyLike, twist: int) -> list[list[int]]:
     monomials of the component spaces R_{twist - d_i} in member order.  The
     syzygy section dimension is its nullity.
     """
+    _require_int_twist(twist)
     polys, nvars = _as_polynomials(family)
     if twist < 0:
         return []
@@ -89,6 +90,7 @@ def syzygy_section_dim(family: FamilyLike, twist: int) -> int:
     lifted left-kernel certificate checks over the integers, and Bareiss
     elimination runs only when that check fails.
     """
+    _require_int_twist(twist)
     polys, nvars = _as_polynomials(family)
     if all(len(p.terms) == 1 for p in polys):
         columns = 0

@@ -369,3 +369,65 @@ def test_readme_examples_are_byte_identical(example, text_sha, json_sha):
         rc, out = capture(argv + flags)
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == expected, out
+
+
+def _terms(*terms):
+    return {"terms": [[num, den, list(exps)] for num, den, *exps in terms]}
+
+
+# Rational-coefficient documents for the line test: the --json bytes are
+# pinned so the scaling of rational images to integers cannot drift.
+RATIONAL_LINE_DOCS = {
+    # X^3, Y^3, Z^3, X^2*Y mixed: every projection loses one image, so the
+    # witness comes from a sample or from the first nonzero minor
+    "cubics": {"variables": 3, "polynomials": [
+        _terms((1, 2, 3, 0, 0), (-2, 3, 2, 1, 0)),
+        _terms((3, 4, 0, 3, 0), (5, 6, 2, 1, 0)),
+        _terms((-7, 5, 0, 0, 3), (1, 9, 2, 1, 0)),
+        _terms((2, 7, 2, 1, 0)),
+    ]},
+    # X^3, Y^3, Z^3, X*Y*Z mixed: on a line Z restricts to a combination of
+    # X and Y, so the four images are always dependent
+    "product": {"variables": 3, "polynomials": [
+        _terms((1, 2, 3, 0, 0), (-2, 3, 1, 1, 1)),
+        _terms((3, 4, 0, 3, 0), (5, 6, 1, 1, 1)),
+        _terms((-7, 5, 0, 0, 3), (1, 9, 1, 1, 1)),
+        _terms((2, 7, 1, 1, 1)),
+    ]},
+    "quadrics": {"variables": 4, "polynomials": [
+        _terms((1, 3, 1, 0, 0, 1), (-5, 2, 0, 1, 1, 0)),
+        _terms((2, 9, 0, 1, 0, 1), (4, 7, 1, 0, 1, 0)),
+        _terms((-3, 8, 0, 0, 1, 1), (1, 6, 1, 1, 0, 0)),
+    ]},
+}
+
+
+@pytest.mark.parametrize(
+    "name, flags, status, json_sha",
+    [
+        ("cubics", "--exhaustive", "CertifiedYes",
+         "37a8194ce1a3a4813232f3b8ff267f11dcad50a01e273d15274ef0ec986ac467"),
+        ("cubics", "--exhaustive --trials 0", "CertifiedYes",
+         "7e44bb095a6049a683a343a1066a25aa9ca5b52446c8c04232a214df4a07c286"),
+        ("cubics", "--trials 8 --seed 3", "CertifiedYes",
+         "adf2f7a4d68ab6d18223678fe11cece06367062bede618528c6375b84db8b0f1"),
+        ("product", "--exhaustive", "CertifiedNo",
+         "048492572599dbb484a235ebfc96d46144261479b44930480f710fc3f972b90b"),
+        ("product", "--exhaustive --trials 0", "CertifiedNo",
+         "048492572599dbb484a235ebfc96d46144261479b44930480f710fc3f972b90b"),
+        ("product", "--trials 8 --seed 3", "ProbablyNo",
+         "bdc1bf853cf464ff29938be4e9eeaef0d3a5e7c299e545d216b4e11dca48b750"),
+        ("quadrics", "--exhaustive", "CertifiedYes",
+         "7540d9a72fc7a65bfd0c8f2ce22ff427c96d8443efaca4a1784551bb73d8289a"),
+        ("quadrics", "--exhaustive --trials 0", "CertifiedYes",
+         "132b3a4bad9d28a6cd84c6ebd8b135607062b3292aacaf38e7674385fbc59f90"),
+        ("quadrics", "--trials 8 --seed 3", "CertifiedYes",
+         "63af7843a7279ebc6333c204c842cc9f034f2616adaddbcdd50287c0ed8fc9fb"),
+    ],
+)
+def test_rational_line_test_json_is_byte_identical(name, flags, status, json_sha):
+    argv = ["line-test", *flags.split(), "--json"]
+    rc, out = capture(argv, stdin=json.dumps(RATIONAL_LINE_DOCS[name]))
+    assert rc == 0
+    assert json.loads(out)["result"]["status"] == status
+    assert hashlib.sha256(out.encode()).hexdigest() == json_sha, out

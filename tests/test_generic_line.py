@@ -7,13 +7,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from syzstab._matrix import _bareiss_rank, rational_rank
-from syzstab.core import Monomial, MonomialFamily, Polynomial, PreconditionError, VerdictKind
+from syzstab._matrix import _bareiss_rank
+from syzstab.core import (
+    Monomial,
+    MonomialFamily,
+    Polynomial,
+    PreconditionError,
+    VerdictKind,
+    _integer_terms,
+)
 from syzstab.generic_line import (
     LineMap,
     LineTestStatus,
     _candidates,
     _nonzero_minor,
+    _rank_at,
     _symbolic_rows,
     line_independence_test,
     restrict_to_line,
@@ -26,6 +34,16 @@ CUBICS = MonomialFamily.from_exponents([(3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 1, 
 DEPENDENT = MonomialFamily.from_exponents(
     [(4, 0, 0), (0, 4, 0), (0, 0, 4), (3, 1, 0), (3, 0, 1)]
 )
+
+
+def _scaled_rank(rows):
+    """Oracle: Bareiss rank of the rational rows, each scaled by the lcm of
+    its denominators."""
+    scaled = []
+    for row in rows:
+        m = lcm(*(c.denominator for c in row))
+        scaled.append([int(c * m) for c in row])
+    return _bareiss_rank(scaled)
 
 
 def test_line_map_rejects_proportional_vectors():
@@ -41,7 +59,7 @@ def test_restrict_to_line_substitution():
     line = LineMap((Fraction(1), Fraction(0), Fraction(1)), (Fraction(0), Fraction(1), Fraction(1)))
     rows = restrict_to_line(CUBICS, line)
     assert len(rows) == 4 and all(len(r) == 4 for r in rows)
-    assert rational_rank(rows) == 4
+    assert _scaled_rank(rows) == 4
     # X^3 -> U^3, Y^3 -> V^3 under the identity-like projection
     proj = LineMap((Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(1), Fraction(0)))
     rows = restrict_to_line(CUBICS, proj)
@@ -56,14 +74,14 @@ def test_restriction_of_shared_power_rows_is_degenerate():
     )
     rows = restrict_to_line(DEPENDENT, line)
     sub = [rows[0], rows[3], rows[4]]  # X^4, X^3*Y, X^3*Z
-    assert rational_rank(sub) <= 2
+    assert _scaled_rank(sub) <= 2
 
 
 def test_certified_yes_for_independent_family():
     result = line_independence_test(CUBICS)
     assert result.status == LineTestStatus.CERTIFIED_YES
     assert result.witness is not None
-    assert rational_rank(restrict_to_line(CUBICS, result.witness)) == 4
+    assert _scaled_rank(restrict_to_line(CUBICS, result.witness)) == 4
 
 
 def test_probably_no_then_certified_no():
@@ -162,6 +180,14 @@ def test_negative_trials_are_a_precondition_violation():
     assert result.status == LineTestStatus.PROBABLY_NO and result.trials_used == 0
 
 
+# 2.5 trials used to raise a bare TypeError from range, True ran one trial.
+@pytest.mark.parametrize("trials", [2.5, True])
+def test_non_int_trials_are_a_precondition_violation(trials):
+    with pytest.raises(PreconditionError) as info:
+        line_independence_test(DEPENDENT, trials=trials)
+    assert info.value.criterion == "line-trials"
+
+
 @st.composite
 def polynomial_families(draw, max_members=4, max_terms=4):
     """1-``max_members`` forms of one degree 1-4 in 2-4 variables, rational coefficients."""
@@ -196,18 +222,50 @@ def test_one_expansion_matches_substitution(family, data):
         for f, row in zip(family, rows):
             terms = [(m.exponents, c) for c, m in f.terms]
             assert sum(r * U**k * V ** (d - k) for k, r in enumerate(row)) == _value(terms, x)
-    # the symbolic rows in a_0..a_N, b_0..b_N, evaluated at (u, v), are the numeric rows
-    symbolic = _symbolic_rows(family, nvars)
-    assert [[_value(entry.items(), u + v) for entry in row] for row in symbolic] == rows
+    # the symbolic rows of the integer members in a_0..a_N, b_0..b_N,
+    # evaluated at (u, v), are the numeric rows scaled per member
+    symbolic = _symbolic_rows([_integer_terms(f) for f in family], d, nvars)
+    scales = [lcm(*(c.denominator for c, _ in f.terms)) for f in family]
+    assert [[_value(entry.items(), u + v) for entry in row] for row in symbolic] == [
+        [c * s for c in row] for s, row in zip(scales, rows)
+    ]
 
 
 def _projections(nvars):
     return [line for line, _ in _candidates(nvars, 0, 0, None)]
 
 
+def _combination(f, g, a, b):
+    """The polynomial a*f + b*g, or None when it is zero."""
+    coeffs = {}
+    for scale, member in ((a, f), (b, g)):
+        for c, m in member.terms:
+            coeffs[m.exponents] = coeffs.get(m.exponents, 0) + scale * c
+    terms = tuple((c, Monomial(e)) for e, c in coeffs.items() if c)
+    return Polynomial(terms) if terms else None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(polynomial_families(max_members=4), st.data())
+def test_integer_rank_at_matches_the_fraction_images(family, data):
+    nvars, d = family[0].nvars, family[0].degree
+    # a rational combination of two members makes the rank deficient
+    if len(family) > 1 and data.draw(st.booleans()):
+        ratio = st.fractions(-5, 5, max_denominator=7).filter(bool)
+        extra = _combination(family[0], family[-1], data.draw(ratio), data.draw(ratio))
+        assume(extra is not None)
+        family = family + [extra]
+    coords = st.lists(st.integers(-9, 9), min_size=nvars, max_size=nvars)
+    u, v = data.draw(coords), data.draw(coords)
+    assume(any(u[i] * v[j] != u[j] * v[i] for i in range(nvars) for j in range(nvars)))
+    members = [_integer_terms(f) for f in family]
+    for line in [LineMap(u, v)] + _projections(nvars):
+        assert _rank_at(members, d, line) == _scaled_rank(restrict_to_line(family, line))
+
+
 def test_exhaustive_witness_is_read_off_the_minor():
     # every coordinate projection loses a member of X^3, Y^3, Z^3, X^2*Y
-    assert all(rational_rank(restrict_to_line(CUBICS, m)) <= 3 for m in _projections(3))
+    assert all(_scaled_rank(restrict_to_line(CUBICS, m)) <= 3 for m in _projections(3))
     results = [line_independence_test(CUBICS, trials=0, seed=s, exhaustive=True) for s in (0, 5)]
     assert results[0] == results[1]
     assert results[0].status == LineTestStatus.CERTIFIED_YES
@@ -219,7 +277,7 @@ def test_exhaustive_witness_of_a_single_product():
     # X*Y*Z vanishes under every projection; without the factor a_0*b_1 - a_1*b_0
     # the minor alone would be read off at u = 0, a proportional map
     family = [Polynomial.from_monomial(Monomial((1, 1, 1)))]
-    assert all(rational_rank(restrict_to_line(family, m)) == 0 for m in _projections(3))
+    assert all(_scaled_rank(restrict_to_line(family, m)) == 0 for m in _projections(3))
     result = line_independence_test(family, trials=0, exhaustive=True)
     assert result.status == LineTestStatus.CERTIFIED_YES
     assert result.trials_used == 0
@@ -234,11 +292,7 @@ def test_exhaustive_mode_is_decisive(family, trials, seed):
         assert line_independence_test(family, trials=0, seed=seed + 1, exhaustive=True) == result
     if result.status == LineTestStatus.CERTIFIED_YES:
         assert result.trials_used <= trials
-        scaled = []
-        for row in restrict_to_line(family, result.witness):
-            m = lcm(*(c.denominator for c in row))
-            scaled.append([int(c * m) for c in row])
-        assert _bareiss_rank(scaled) == len(family)
+        assert _scaled_rank(restrict_to_line(family, result.witness)) == len(family)
 
 
 def _leibniz_minor(rows, n, d):
@@ -261,7 +315,7 @@ def test_shared_laplace_minor_matches_leibniz(family, repeat):
     if repeat:  # a repeated member: every maximal minor vanishes
         family = family[:4] + family[:1]
     nvars, d, n = family[0].nvars, family[0].degree, len(family)
-    rows = _symbolic_rows(family, nvars)
+    rows = _symbolic_rows([_integer_terms(f) for f in family], d, nvars)
     minor = _nonzero_minor(rows, n, d)
     assert minor == _leibniz_minor(rows, n, d)
     if repeat:

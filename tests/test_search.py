@@ -116,6 +116,24 @@ def test_budget_below_one_is_rejected(budget):
     assert run(argv, stdout=io.StringIO()) == 2
 
 
+# A float degree used to raise a bare TypeError from comb; a float count or
+# budget, and a bool degree, were accepted as numbers.
+@pytest.mark.parametrize(
+    "fields, criterion",
+    [
+        ({"variables": 3.0}, "search-range"),
+        ({"degree": 2.0}, "search-range"),
+        ({"degree": True}, "search-range"),
+        ({"count": 3.0}, "search-count"),
+        ({"budget": 2.5}, "search-budget"),
+    ],
+)
+def test_non_int_spec_fields_are_rejected(fields, criterion):
+    with pytest.raises(PreconditionError) as exc:
+        SearchSpec(**{"variables": 3, "degree": 2, "count": 3, **fields})
+    assert exc.value.criterion == criterion
+
+
 # (variables, degree, count, require, primary_only) -> (status, nodes) of the
 # four heaviest vetted benchmark specs; a prune that stays sound but loses
 # exactness changes these counts.

@@ -42,6 +42,33 @@ def test_monomial_basis():
     assert len(monomial_basis(1, 3)) == 4
 
 
+# A bool twist used to be read as twist 1, a float one raised a bare
+# TypeError from range.
+@pytest.mark.parametrize("twist", [True, 2.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: monomial_basis(2, m),
+        lambda m: evaluation_matrix([poly((1, (1, 0, 0)), (1, (0, 1, 0))), poly((1, (0, 0, 1)))], m),
+        lambda m: syzygy_section_dim([poly((1, (1, 0, 0)), (1, (0, 1, 0))), poly((1, (0, 0, 1)))], m),
+        lambda m: syzygy_section_dim(mono_polys((1, 0, 0), (0, 1, 0)), m),
+    ],
+    ids=["monomial_basis", "evaluation_matrix", "section_dim", "section_dim_monomial"],
+)
+def test_non_int_twist_is_rejected(call, twist):
+    with pytest.raises(PreconditionError) as info:
+        call(twist)
+    assert info.value.criterion == "twist-integer"
+
+
+# A bool N was read as 1 and a float one gave the basis of N = 2.
+@pytest.mark.parametrize("N", [True, 2.0])
+def test_non_int_basis_variables_are_rejected(N):
+    with pytest.raises(PreconditionError) as info:
+        monomial_basis(N, 2)
+    assert info.value.criterion == "basis-variables"
+
+
 def test_koszul_syzygy_dimension():
     assert syzygy_section_dim(mono_polys((1, 0), (0, 1)), 2) == 1
 
