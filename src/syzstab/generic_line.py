@@ -256,11 +256,14 @@ def line_independence_test(
     exactly); ProbablyNo is one-sided.  With ``exhaustive=True`` (at most 5
     members in at most 4 variables) the answer is CertifiedYes or CertifiedNo,
     and with ``trials=0`` it does not depend on ``seed``.  A family in fewer
-    than 2 variables (every map is then proportional) and a ``trials`` that
-    is not an ``int`` >= 0 violate the preconditions.
+    than 2 variables (every map is then proportional), a ``trials`` that is
+    not an ``int`` >= 0 and a ``seed`` that is not an ``int`` violate the
+    preconditions.
     """
     if type(trials) is not int or trials < 0:
         raise PreconditionError("line-trials", f"trials must be an integer >= 0, got {trials!r}")
+    if type(seed) is not int:
+        raise PreconditionError("line-seed", f"seed must be an integer, got {seed!r}")
     polys, nvars = _as_polynomials(family)
     if nvars < 2:
         raise PreconditionError("line-variables", "line restriction needs at least 2 variables")

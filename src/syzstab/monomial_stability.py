@@ -40,7 +40,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     Monomial,
@@ -115,58 +115,107 @@ def _meet_closure(vectors: Sequence[Vec]) -> list[Vec]:
 class _PathClosure:
     """Meet closure of a growing family of distinct degree-d members: immutable.
 
-    ``closure`` maps each gcd g of a nonempty chosen subfamily to s(g), the
-    number of chosen members divisible by g; ``base`` is the gcd of all chosen
-    members; ``num``/``den`` is the largest (deg g - s*d)/(s - 1) over entries
-    with s >= 2 (``den`` is 0 while there is none).  A search node shares it
-    with its children, and ``same_degree_check`` folds it over a family.
+    Word layout: an exponent vector is one int in which each variable's
+    exponent fills a slot of w = d.bit_length() + 1 bits, the first variable
+    in the top slot, so int order is lexicographic tuple order.  Every
+    exponent, and the degree of every gcd, of a degree-d family is at most
+    d < 2^(w - 1), so the top (guard) bit of each slot is free and slot-wise
+    arithmetic never borrows or carries across slots.  With H the guard bits,
+    t = ((g | H) - v) & H keeps the guard bit of each slot where g >= v, so
+    g ^ ((g ^ v) & (t - (t >> (w - 1)))) takes v's exponent there: the meet.
+    With K the low bit of every slot, each slot of g * K sums the exponents
+    from the bottom slot up to it, at most d, so its top slot is deg g.
+    ``root`` fixes the layout from (variables, d); ``pack`` and ``unpack``
+    convert.
+
+    ``closure`` maps each gcd g of a nonempty chosen subfamily to the bitmask
+    of the chosen members g divides (bit k for the k-th pushed), so s(g) is
+    its bit count; ``base`` is the gcd of all chosen members; ``num``/``den``
+    is the largest (deg g - s*d)/(s - 1) over entries with s >= 2 (``den`` is
+    0 while there is none).  A search node shares it with its children, and
+    ``same_degree_check`` folds it over a family.
     """
 
-    __slots__ = ("chosen", "closure", "base", "num", "den")
+    __slots__ = ("layout", "chosen", "closure", "base", "num", "den")
 
-    def __init__(self, chosen=(), closure=None, base=None, num=0, den=0):
-        self.chosen = chosen
-        self.closure = {} if closure is None else closure
-        self.base = base
+    def __init__(self, layout, chosen, closure, base, num, den):
+        self.layout = layout
+        self.chosen, self.closure, self.base = chosen, closure, base
         self.num, self.den = num, den
 
-    def push(self, v: Vec, d: int) -> "_PathClosure":
-        """State after choosing the degree-``d`` exponent vector ``v``.
+    @classmethod
+    def root(cls, variables: int, d: int) -> "_PathClosure":
+        """The empty family of degree-``d`` members in ``variables`` variables."""
+        w = d.bit_length() + 1
+        ones = sum(1 << (w * i) for i in range(variables))
+        # variables, d, w, the guard (top) bit and the low bit of every slot,
+        # the shift of the top slot and the mask of one slot
+        layout = (variables, d, w, ones << (w - 1), ones, w * (variables - 1), (1 << w) - 1)
+        return cls(layout, (), {}, None, 0, 0)
 
-        Bumps s(g) for the g dividing v, adds v and the new meets g ^ v with
-        their counts, and folds only those into the maximum: an unchanged
-        entry keeps its value, and a changed one can only rise.  ``v`` is new
-        to the closure, as a gcd of degree d is a chosen member.
+    def pack(self, v: Vec) -> int:
+        w = self.layout[2]
+        return reduce(lambda acc, e: (acc << w) | e, v, 0)
+
+    def unpack(self, g: int) -> Vec:
+        _, _, w, _, _, top, slot = self.layout
+        return tuple((g >> s) & slot for s in range(top, -1, -w))
+
+    def degree(self, g: int) -> int:
+        _, _, _, _, ones, top, slot = self.layout
+        return ((g * ones) >> top) & slot
+
+    def meet(self, g: int, v: int) -> int:
+        _, _, w, guard, *_ = self.layout
+        t = ((g | guard) - v) & guard  # guard bits of the slots where g >= v
+        return g ^ ((g ^ v) & (t - (t >> (w - 1))))
+
+    def push(self, v: int) -> "_PathClosure":
+        """State after choosing the packed degree-d member ``v``.
+
+        An entry g dividing v gains v's bit.  A new meet m of g and v gets
+        v's bit and the union of the masks of every old g meeting v in m,
+        which is exactly the old members m divides: their gcd G is an old
+        entry, m divides G and G divides each such g, so G meets v in m, and
+        G's mask is those members.  Only the changed entries are folded into
+        the maximum: an unchanged entry keeps its value, and a changed one
+        can only rise.  ``v`` is new to the closure, as a gcd of degree d is
+        a chosen member.
         """
+        _, d, w, guard, ones, top, slot = self.layout
         old = self.closure
+        bit = 1 << len(self.chosen)
         closure = dict(old)
-        closure[v] = 0
-        num, den = self.num, self.den
-        fresh, bumped = [v], []
-        for g in old:
-            m = tuple(map(min, g, v))  # the meet of g and v
+        closure[v] = bit
+        changed = {}
+        shift = w - 1
+        for g, mask in old.items():
+            t = ((g | guard) - v) & guard  # ``meet`` inlined
+            m = g ^ ((g ^ v) & (t - (t >> shift)))
             if m == g:
-                closure[g] = old[g] + 1
-                bumped.append(g)
-            elif m not in closure:
-                closure[m] = 0
-                fresh.append(m)
-        for h in fresh:  # h divides v; count its multiples among the others
-            closure[h] = 1 + sum(1 for c in self.chosen if all(map(int.__le__, h, c)))
-        for g in bumped + fresh:
-            s = closure[g]
-            if s >= 2:
-                a, b = sum(g) - s * d, s - 1
-                if den == 0 or a * den > num * b:
-                    num, den = a, b
-        base = v if self.base is None else tuple(map(min, self.base, v))
-        return _PathClosure(self.chosen + (v,), closure, base, num, den)
+                changed[g] = mask | bit
+            elif m not in old:
+                changed[m] = changed.get(m, bit) | mask
+        closure.update(changed)
+        num, den = self.num, self.den
+        for g, mask in changed.items():
+            s = mask.bit_count()  # >= 2: v's bit and an old member's
+            a, b = (((g * ones) >> top) & slot) - s * d, s - 1
+            if den == 0 or a * den > num * b:
+                num, den = a, b
+        base = v if self.base is None else self.meet(self.base, v)
+        return _PathClosure(self.layout, self.chosen + (v,), closure, base, num, den)
 
-    def violates(self, d: int, n: int) -> bool:
+    def counts(self) -> Iterator[tuple[int, int]]:
+        """(g, s(g)) for every closure entry."""
+        return ((g, mask.bit_count()) for g, mask in self.closure.items())
+
+    def violates(self, n: int) -> bool:
         """Some chosen subfamily beats the family slope cap of every completion."""
-        return self.den > 0 and self.num * (n - 1) > (sum(self.base) - n * d) * self.den
+        d = self.layout[1]
+        return self.den > 0 and self.num * (n - 1) > (self.degree(self.base) - n * d) * self.den
 
-    def accepts(self, d: int, stable: bool) -> bool:
+    def accepts(self, stable: bool) -> bool:
         """Whether ``verdict`` would call the chosen family Stable or (unless
         ``stable``) SemistableNotStable.
 
@@ -178,16 +227,16 @@ class _PathClosure:
         as deg base < d.  So ``violates`` means Unstable, and an entry with
         2 <= s < n at the family slope means SemistableNotStable.
         """
-        n = len(self.chosen)
+        (variables, d, *_), n = self.layout, len(self.chosen)
         if n == 2:
             return True
-        reduced = (tuple(x - b for x, b in zip(v, self.base)) for v in self.chosen)
-        if self.violates(d, n) or len(_pure_powers(reduced)) < len(self.base):
+        reduced = (self.unpack(v - self.base) for v in self.chosen)  # no borrow: base | v
+        if self.violates(n) or len(_pure_powers(reduced)) < variables:
             return False
-        cap = sum(self.base) - n * d
+        cap = self.degree(self.base) - n * d
         return not stable or all(
-            (sum(g) - s * d) * (n - 1) != cap * (s - 1)
-            for g, s in self.closure.items()
+            (self.degree(g) - s * d) * (n - 1) != cap * (s - 1)
+            for g, s in self.counts()
             if 2 <= s < n
         )
 
@@ -374,21 +423,25 @@ def same_degree_check(family: MonomialFamily) -> tuple[bool, Optional[Monomial]]
     Checks every subfamily gcd nu of degree e = |nu| < d, with s_nu its number
     of multiples in the family, and returns a violating nu of maximal degree
     on failure.  For any other divisor the gcd of its multiples gives an equal
-    count at larger or equal degree, so checking gcds suffices; the counts are
-    those of a ``_PathClosure`` folded over the members.  For primary families
-    of constant degree this is equivalent to the verdict not being Unstable.
+    count at larger or equal degree, so checking gcds suffices.  The gcds and
+    their member masks come from a ``_PathClosure`` folded over the packed
+    members, and the violating nu is unpacked from its word.  For primary
+    families of constant degree this is equivalent to the verdict not being
+    Unstable.
     """
     n, d = len(family), family.degrees()[0]
     if set(family.degrees()) != {d}:
         raise PreconditionError("constant-degree", "the equal-degree check needs equal degrees")
-    state = reduce(lambda acc, v: acc.push(v, d), family.exponent_vectors(), _PathClosure())
+    root = _PathClosure.root(family.variables, d)
+    state = reduce(_PathClosure.push, map(root.pack, family.exponent_vectors()), root)
     # a gcd of degree d is a member, counted once, so s >= 2 implies |nu| < d
     violations = [
-        g for g, s in state.closure.items() if s >= 2 and (s - 1) * d > (n - 1) * (d - sum(g))
+        g for g, s in state.counts() if s >= 2 and (s - 1) * d > (n - 1) * (d - state.degree(g))
     ]
     if not violations:
         return True, None
-    return False, Monomial(min(violations, key=lambda g: (-sum(g), g)))
+    # int order of packed vectors is lexicographic tuple order
+    return False, Monomial(state.unpack(min(violations, key=lambda g: (-state.degree(g), g))))
 
 
 def powers_check(degrees: Sequence[int]) -> bool:

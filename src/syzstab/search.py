@@ -10,15 +10,23 @@ members are added; the family slope of any completion is at most
 whose largest value beats the cap rules out every completion.
 
 That state rides down the DFS stack as a ``monomial_stability._PathClosure``
-(the map g -> s(g), the running gcd and the largest value so far), and a
-completed family is decided from it by ``_PathClosure.accepts``, not by the
-verdict engine.  That is exact: the family gcd is the only entry with s = n
-and its value is the family slope, and every other entry is best at k = s.
+(the map g -> the bitmask of chosen members g divides, the running gcd and
+the largest value so far), and a completed family is decided from it by
+``_PathClosure.accepts``, not by the verdict engine.  That is exact: the
+family gcd is the only entry with s = n and its value is the family slope,
+and every other entry is best at k = s.
+
+Candidates are packed once into the closure's word layout: one int per
+exponent vector, w = d.bit_length() + 1 bits per variable, so a meet and a
+degree are a few word operations, and choosing v costs one pass over the
+closure with no rescan of the chosen members (the mask of a new meet is the
+union of the masks that produce it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 from typing import Optional
 
@@ -80,41 +88,44 @@ def find_semistable_family(spec: SearchSpec, prune: bool = True) -> SearchResult
     sound certificate.  ``prune=False`` disables the necessity prune and is only
     useful to cross-check that pruning skips no acceptable family.
     """
-    monos = list(degree_vectors(spec.variables, spec.degree))
+    root = _PathClosure.root(spec.variables, spec.degree)
+    vectors = list(degree_vectors(spec.variables, spec.degree))
+    monos = [root.pack(v) for v in vectors]
     total = len(monos)
     n = spec.count
     stable = spec.require == "stable"
-    pure_power_idx = {i for i, v in enumerate(monos) if _pure_powers([v])}
+    pure = [len(_pure_powers([v])) for v in vectors]
+    pure_below = list(accumulate(pure, initial=0))  # pure powers before each index
     nodes = 0
     found: Optional[MonomialFamily] = None
 
-    def visit(state: _PathClosure, start: int) -> bool:
+    def visit(state: _PathClosure, start: int, have: int) -> bool:
+        """``have`` counts the chosen pure powers, one per variable."""
         nonlocal nodes, found
         if nodes >= spec.budget:
             raise _BudgetExceeded
         nodes += 1
-        chosen = state.chosen
-        slots = n - len(chosen)
+        slots = n - len(state.chosen)
         if spec.primary_only:
             # one pure power per variable; one below ``start`` is chosen or lost
-            have = len(_pure_powers(chosen))
-            if have < sum(i < start for i in pure_power_idx) or spec.variables - have > slots:
+            if have < pure_below[start] or spec.variables - have > slots:
                 return False
         if not slots:
-            if state.accepts(spec.degree, stable):
-                found = MonomialFamily.from_exponents(chosen, spec.variables)
+            if state.accepts(stable):
+                members = map(state.unpack, state.chosen)
+                found = MonomialFamily.from_exponents(members, spec.variables)
                 return True
             return False
         for i in range(start, total - slots + 1):
-            child = state.push(monos[i], spec.degree)
-            if prune and child.violates(spec.degree, n):
+            child = state.push(monos[i])
+            if prune and child.violates(n):
                 continue
-            if visit(child, i + 1):
+            if visit(child, i + 1, have + pure[i]):
                 return True
         return False
 
     try:
-        if visit(_PathClosure(), 0):
+        if visit(root, 0, 0):
             return SearchResult(SearchStatus.FOUND, found, nodes)
         return SearchResult(SearchStatus.EXHAUSTED, None, nodes)
     except _BudgetExceeded:

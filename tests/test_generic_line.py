@@ -188,6 +188,14 @@ def test_non_int_trials_are_a_precondition_violation(trials):
     assert info.value.criterion == "line-trials"
 
 
+# random.Random took these: True as seed 1, a float or a string by its hash.
+@pytest.mark.parametrize("seed", [True, 1.5, "x"])
+def test_non_int_seed_is_a_precondition_violation(seed):
+    with pytest.raises(PreconditionError) as info:
+        line_independence_test(DEPENDENT, trials=4, seed=seed)
+    assert info.value.criterion == "line-seed"
+
+
 @st.composite
 def polynomial_families(draw, max_members=4, max_terms=4):
     """1-``max_members`` forms of one degree 1-4 in 2-4 variables, rational coefficients."""

@@ -26,6 +26,7 @@ from syzstab.monomial_stability import (
     verdict,
 )
 from syzstab.numeric_bounds import necessary_condition
+from strategies import degree_vector
 
 
 def fam(*vectors):
@@ -403,6 +404,22 @@ def equal_degree_families(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(equal_degree_families())
 def test_same_degree_check_matches_profile_oracle(family):
+    assert same_degree_check(family) == _profile_check(family)
+
+
+@st.composite
+def wide_equal_degree_families(draw):
+    """2-8 distinct members of one degree up to 1000 in 2-5 variables, drawn
+    without listing the monomials, so packed slots are wide and exponents
+    reach d."""
+    nvars, d = draw(st.integers(2, 5)), draw(st.integers(1, 1000))
+    members = st.lists(degree_vector(nvars, d), min_size=2, max_size=8, unique=True)
+    return MonomialFamily.from_exponents(draw(members), nvars)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(wide_equal_degree_families())
+def test_same_degree_check_matches_profile_oracle_at_large_degree(family):
     assert same_degree_check(family) == _profile_check(family)
 
 

@@ -20,6 +20,7 @@ from syzstab.monomial_stability import (
     verdict,
 )
 from syzstab.search import SearchSpec, SearchStatus, find_semistable_family
+from strategies import degree_vector
 
 ACCEPTED = {
     "semistable": (VerdictKind.STABLE, VerdictKind.SEMISTABLE_NOT_STABLE),
@@ -156,27 +157,51 @@ def test_pinned_node_counts(spec, nodes):
 
 @st.composite
 def push_sequences(draw):
-    variables = draw(st.integers(2, 4))
-    degree = draw(st.integers(1, 6))
-    monos = list(degree_vectors(variables, degree))
-    n = draw(st.integers(2, min(10, len(monos))))
-    chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=n, unique=True))
-    return degree, n, chosen
+    """Distinct members of one degree d in 1-6 variables: d up to 1000, so
+    that slot widths vary and exponents reach d, or small, so that meets
+    repeat."""
+    variables = draw(st.integers(1, 6))
+    degree = draw(st.one_of(st.integers(1, 6), st.integers(1, 1000)))
+    n = draw(st.integers(2, 10))
+    vectors = degree_vector(variables, degree)
+    chosen = draw(st.lists(vectors, min_size=1, max_size=n, unique=True))
+    return variables, degree, n, chosen
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(push_sequences())
 def test_path_closure_matches_from_scratch_prune(case):
-    d, n, sequence = case
-    state = _PathClosure()
+    variables, d, n, sequence = case
+    state = _PathClosure.root(variables, d)
     for k, v in enumerate(sequence, start=1):
-        state = state.push(v, d)
+        state = state.push(state.pack(v))
         chosen = sequence[:k]
-        assert state.chosen == tuple(chosen)
-        assert set(state.closure) == set(_meet_closure(chosen))
-        for g, s in state.closure.items():
-            assert s == sum(1 for c in chosen if _divides(g, c))
-        assert state.violates(d, n) == _partial_violates(chosen, d, n)
+        assert [state.unpack(c) for c in state.chosen] == chosen
+        closure = {state.unpack(g): mask for g, mask in state.closure.items()}
+        assert set(closure) == set(_meet_closure(chosen))
+        for g, mask in closure.items():
+            assert mask == sum(1 << i for i, c in enumerate(chosen) if _divides(g, c))
+        assert state.violates(n) == _partial_violates(chosen, d, n)
+
+
+@st.composite
+def packed_pairs(draw):
+    variables, d = draw(st.integers(1, 6)), draw(st.integers(1, 1000))
+    # a gcd of members has degree at most d, and so every exponent
+    g = draw(degree_vector(variables, draw(st.integers(0, d))))
+    return variables, d, g, draw(degree_vector(variables, d))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(packed_pairs())
+def test_packed_words_match_tuples(case):
+    variables, d, g, v = case
+    state = _PathClosure.root(variables, d)
+    pg, pv = state.pack(g), state.pack(v)
+    assert state.unpack(pg) == g and state.unpack(pv) == v
+    assert state.unpack(state.meet(pg, pv)) == _vmeet(g, v)
+    assert state.degree(pg) == sum(g) and state.degree(pv) == d
+    assert (pg < pv) == (g < v)
 
 
 @st.composite
@@ -204,10 +229,11 @@ def equal_degree_families(draw):
 @given(equal_degree_families())
 def test_leaf_rule_matches_verdict(case):
     d, members = case
-    state = reduce(lambda state, v: state.push(v, d), members, _PathClosure())
+    root = _PathClosure.root(len(members[0]), d)
+    state = reduce(_PathClosure.push, map(root.pack, members), root)
     kind = verdict(MonomialFamily.from_exponents(members)).kind
     for require, accepted in ACCEPTED.items():
-        assert state.accepts(d, require == "stable") == (kind in accepted)
+        assert state.accepts(require == "stable") == (kind in accepted)
 
 
 def test_spec_validation():
