@@ -13,6 +13,8 @@ Exit codes: 0 for any completed computation (verdicts live in the payload),
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import decimal
 import json
 import re
 import sys
@@ -197,9 +199,18 @@ def frac_json(value: Fraction) -> dict:
     return {"num": f.numerator, "den": f.denominator}
 
 
+# six significant digits, as ``:g`` prints a float, at any magnitude
+_APPROX = decimal.Context(prec=6, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
 def frac_text(value: Fraction) -> str:
+    """The exact value and an approximation, also past the float range."""
     f = Fraction(value)
-    return f"{f} ({float(f):g})"
+    try:
+        approx = float(f)
+    except OverflowError:
+        approx = _APPROX.divide(f.numerator, f.denominator).normalize(_APPROX)
+    return f"{f} ({approx:g})"
 
 
 def monomial_names(family: MonomialFamily, indices: Sequence[int]) -> str:
@@ -434,14 +445,7 @@ def cmd_search(args):
         require="stable" if args.stable else "semistable",
         primary_only=args.primary_only,
     )
-    doc = {
-        "variables": spec.variables,
-        "degree": spec.degree,
-        "count": spec.count,
-        "budget": spec.budget,
-        "require": spec.require,
-        "primary_only": spec.primary_only,
-    }
+    doc = dataclasses.asdict(spec)
     result = search.find_semistable_family(spec)
     out = {"status": result.status, "nodes": result.nodes, "family": None}
     lines = [f"search: {result.status} after {result.nodes} nodes"]
@@ -531,9 +535,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # built once per process, not per request
+
+
 def run(argv: Optional[Sequence[str]] = None, stdout=None) -> int:
     out = stdout if stdout is not None else sys.stdout
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         doc, result, lines = _COMMANDS[args.command][0](args)
     except InputError as exc:

@@ -11,7 +11,7 @@ comes with a witness: among maximizing subfamilies, the smallest size wins,
 then the lexicographically smallest index tuple.  Two engines compute both:
 
 * ``max_slope_brute_force`` walks all 2^n - n - 1 admissible subsets and is
-  the reference oracle (bounded by a configurable ceiling, default 20);
+  the reference oracle (refused above a fixed ceiling of 20 members);
 * ``max_slope`` scans the meet-closure of the family once.  For a closure
   element g, sort the multiples of g by (degree, index); their first k form
   the candidate S(g, k) of value
@@ -36,7 +36,6 @@ The meet-closure is far smaller than 2^n in practice.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -54,7 +53,7 @@ from .core import (
     is_primary,
 )
 
-DEFAULT_ORACLE_CEILING = 20
+ORACLE_CEILING = 20
 
 Vec = tuple[int, ...]
 
@@ -241,15 +240,10 @@ class _PathClosure:
         )
 
 
-@dataclass(frozen=True)
-class _Extrema:
-    max_slope: Fraction
-    max_indices: tuple[int, ...]
-    proper_slope: Optional[Fraction]
-    proper_indices: Optional[tuple[int, ...]]
-
-
-def _brute_extrema(vectors: Sequence[Vec], degrees: Sequence[int]) -> _Extrema:
+def _brute_extrema(
+    vectors: Sequence[Vec], degrees: Sequence[int]
+) -> tuple[tuple[int, ...], Optional[tuple[int, ...]]]:
+    """Witness indices of both extrema from every admissible subset."""
     n = len(vectors)
     best: Optional[tuple[Fraction, tuple[int, ...]]] = None
     proper: Optional[tuple[Fraction, tuple[int, ...]]] = None
@@ -266,13 +260,13 @@ def _brute_extrema(vectors: Sequence[Vec], degrees: Sequence[int]) -> _Extrema:
             if k < n and (proper is None or val > proper[0]):
                 proper = (val, combo)
     assert best is not None
-    if proper is None:
-        return _Extrema(best[0], best[1], None, None)
-    return _Extrema(best[0], best[1], proper[0], proper[1])
+    return best[1], None if proper is None else proper[1]
 
 
-def _pruned_extrema(vectors: Sequence[Vec], degrees: Sequence[int]) -> _Extrema:
-    """Both extrema and their witnesses from one scan of the meet closure."""
+def _pruned_extrema(
+    vectors: Sequence[Vec], degrees: Sequence[int]
+) -> tuple[tuple[int, ...], Optional[tuple[int, ...]]]:
+    """Witness indices of both extrema from one scan of the meet closure."""
     n = len(vectors)
     best = None  # ((slope, -size), indices) of the best proper candidate
     for g in _meet_closure(vectors):
@@ -285,67 +279,43 @@ def _pruned_extrema(vectors: Sequence[Vec], degrees: Sequence[int]) -> _Extrema:
                 indices = tuple(sorted(i for _, i in ranked[:k]))
                 if best is None or key > best[0] or indices < best[1]:
                     best = (key, indices)
-    whole = Fraction(sum(_vector_gcd(vectors)) - sum(degrees), n - 1)
     everything = tuple(range(n))
     if best is None:
-        return _Extrema(whole, everything, None, None)
+        return everything, None
     (proper, _), proper_indices = best
-    if proper >= whole:
-        return _Extrema(proper, proper_indices, proper, proper_indices)
-    return _Extrema(whole, everything, proper, proper_indices)
+    whole = Fraction(sum(_vector_gcd(vectors)) - sum(degrees), n - 1)
+    return (proper_indices if proper >= whole else everything), proper_indices
 
 
-def _oracle_ceiling(explicit: Optional[int]) -> int:
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get("SYZSTAB_ORACLE_CEILING")
-    if raw is None:
-        return DEFAULT_ORACLE_CEILING
-    try:
-        return int(raw)
-    except ValueError:
-        raise PreconditionError(
-            "oracle-ceiling", f"SYZSTAB_ORACLE_CEILING is not an integer: {raw!r}"
-        )
-
-
-def _summary(
-    family: MonomialFamily, brute: bool, ceiling: Optional[int] = None
-) -> MaxSlopeResult:
+def _summary(family: MonomialFamily, brute: bool) -> MaxSlopeResult:
     """Extrema and witnesses from one run of the selected engine.
 
-    The exhaustive engine refuses families above the oracle ceiling before
-    enumerating any subset.
+    The exhaustive engine refuses families above ``ORACLE_CEILING`` before
+    enumerating any subset.  Each slope is read off its witness: the best
+    candidate's gcd is exactly g (see the module docstring), so the witness
+    slope is the engine's extremum.
     """
-    vectors, degrees = family.exponent_vectors(), family.degrees()
-    if brute:
-        limit = _oracle_ceiling(ceiling)
-        if len(family) > limit:
-            raise PreconditionError(
-                "oracle-ceiling",
-                f"family of size {len(family)} exceeds the brute-force ceiling {limit}",
-            )
-        ext = _brute_extrema(vectors, degrees)
-    else:
-        ext = _pruned_extrema(vectors, degrees)
-    witness = SubsetWitness.for_subset(family, ext.max_indices)
-    proper = (
-        SubsetWitness.for_subset(family, ext.proper_indices)
-        if ext.proper_indices is not None
-        else None
-    )
-    return MaxSlopeResult(ext.max_slope, witness, ext.proper_slope, proper)
+    if brute and len(family) > ORACLE_CEILING:
+        raise PreconditionError(
+            "oracle-ceiling",
+            f"family of size {len(family)} exceeds the brute-force ceiling {ORACLE_CEILING}",
+        )
+    engine = _brute_extrema if brute else _pruned_extrema
+    max_indices, proper_indices = engine(family.exponent_vectors(), family.degrees())
+    witness = SubsetWitness.for_subset(family, max_indices)
+    if proper_indices is None:
+        return MaxSlopeResult(witness.slope, witness, None, None)
+    proper = SubsetWitness.for_subset(family, proper_indices)
+    return MaxSlopeResult(witness.slope, witness, proper.slope, proper)
 
 
-def max_slope_brute_force(
-    family: MonomialFamily, ceiling: Optional[int] = None
-) -> MaxSlopeResult:
+def max_slope_brute_force(family: MonomialFamily) -> MaxSlopeResult:
     """Exhaustive maximal slope over all subfamilies of a primary family."""
     if not is_primary(family):
         raise PreconditionError(
             "primary-family", "the exhaustive slope formula needs a primary family"
         )
-    return _summary(family, brute=True, ceiling=ceiling)
+    return _summary(family, brute=True)
 
 
 def max_slope(family: MonomialFamily) -> MaxSlopeResult:
@@ -400,9 +370,9 @@ def verdict(family: MonomialFamily) -> StabilityVerdict:
     return _classify(family, _summary(family, brute=False))
 
 
-def oracle_verdict(family: MonomialFamily, ceiling: Optional[int] = None) -> StabilityVerdict:
+def oracle_verdict(family: MonomialFamily) -> StabilityVerdict:
     """Same verdict computed with the exhaustive subset engine."""
-    return _classify(family, _summary(family, brute=True, ceiling=ceiling))
+    return _classify(family, _summary(family, brute=True))
 
 
 def slope_summary(family: MonomialFamily, brute: bool = False) -> MaxSlopeResult:

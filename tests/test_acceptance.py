@@ -123,7 +123,7 @@ def test_criterion_2_oracle_equivalence():
             n = rng.randint(nvars, 10)
             family = random_primary_family(rng, nvars, n)
             fast = max_slope(family)
-            slow = max_slope_brute_force(family, ceiling=20)
+            slow = max_slope_brute_force(family)
             assert fast.max_slope == slow.max_slope
             assert fast.witness == slow.witness
             assert fast.max_proper_slope == slow.max_proper_slope

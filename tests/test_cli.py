@@ -1,14 +1,19 @@
+import argparse
 import hashlib
 import io
 import json
 import re
 import shlex
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import syzstab
 from syzstab import monomial_stability
 from syzstab.cli import normalize_document, parse_monomial_text, run
+from syzstab.monomial_stability import degree_vectors
 
 
 def capture(argv, stdin=None):
@@ -150,13 +155,32 @@ def test_exit_codes():
     assert rc == 2  # verdicts need monomials
 
 
-def test_oracle_ceiling_env(monkeypatch):
+# all_monomials_family(2, 5): 21 members, one above the oracle ceiling
+OVER_CEILING = json.dumps(
+    {"variables": 3, "monomials": [list(v) for v in degree_vectors(3, 5)]}
+)
+
+
+def test_oracle_ceiling_env(monkeypatch, capsys):
+    # SYZSTAB_ORACLE_CEILING is not read: even a value that is no integer
+    # leaves the fixed ceiling in force
+    monkeypatch.setenv("SYZSTAB_ORACLE_CEILING", "not-a-number")
+    for flags in ([], ["--json"]):
+        rc, out = capture(["oracle"] + flags, stdin=OVER_CEILING)
+        assert rc == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "precondition violated [oracle-ceiling]: "
+            "family of size 21 exceeds the brute-force ceiling 20\n"
+        )
+
+
+def test_oracle_ignores_ceiling_env(monkeypatch):
+    argv = ["oracle", "--monomials", "X^2,Y^2,Z^2,X*Y", "--json"]
+    monkeypatch.delenv("SYZSTAB_ORACLE_CEILING", raising=False)
+    plain = capture(argv)
     monkeypatch.setenv("SYZSTAB_ORACLE_CEILING", "3")
-    rc, _ = capture(["oracle", "--monomials", "X^2,Y^2,Z^2,X*Y"])
-    assert rc == 2
-    monkeypatch.setenv("SYZSTAB_ORACLE_CEILING", "25")
-    rc, _ = capture(["oracle", "--monomials", "X^2,Y^2,Z^2,X*Y"])
-    assert rc == 0
+    assert capture(argv) == plain
+    assert plain[0] == 0
 
 
 def count_engine_runs(monkeypatch) -> dict:
@@ -184,10 +208,12 @@ def test_check_runs_the_engine_once(monkeypatch, command, engine):
 
 def test_oracle_over_ceiling_runs_no_engine(monkeypatch):
     calls = count_engine_runs(monkeypatch)
-    monkeypatch.setenv("SYZSTAB_ORACLE_CEILING", "3")
-    rc, _ = capture(["oracle", "--monomials", "X^2,Y^2,Z^2,X*Y", "--json"])
+    rc, _ = capture(["oracle", "--json"], stdin=OVER_CEILING)
     assert rc == 2
     assert calls == {"_pruned_extrema": 0, "_brute_extrema": 0}
+    rc, _ = capture(["check", "--json"], stdin=OVER_CEILING)
+    assert rc == 0
+    assert calls == {"_pruned_extrema": 1, "_brute_extrema": 0}
 
 
 def test_sections_command():
@@ -431,3 +457,50 @@ def test_rational_line_test_json_is_byte_identical(name, flags, status, json_sha
     assert rc == 0
     assert json.loads(out)["result"]["status"] == status
     assert hashlib.sha256(out.encode()).hexdigest() == json_sha, out
+
+
+def test_parser_is_built_once_and_reused(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert capture(["check", "--monomials", "X^2,Y^2,Z^2,X*Y"])[0] == 0
+    assert capture(["check"], stdin="{not json")[0] == 1
+    assert capture(["sections", "--monomials", "X^2,Y^2"])[0] == 2
+    with pytest.raises(SystemExit) as info:
+        capture(["check", "--no-such-flag"])
+    assert info.value.code == 2
+    argv = ["search", "--vars", "3", "--degree", "2", "--count", "4", "--json"]
+    rc, out = capture(argv)
+    capsys.readouterr()
+    assert built == []
+    src = Path(syzstab.__file__).resolve().parents[1]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "syzstab", *argv],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert (rc, out) == (fresh.returncode, fresh.stdout)
+
+
+HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "argv, approx",
+    [
+        (["check", "--monomials", f"X^{HUGE},Y^2,X*Y"], "(-5e+399)"),
+        (["bounds", "--degrees", f"{HUGE},{HUGE},{HUGE}", "--vars", "3"], "(1.5e+400)"),
+        (["report", "--degrees", f"{HUGE},{HUGE},{HUGE}", "--vars", "3"], "(1.5e+400)"),
+        (["report", "--monomials", f"X^{HUGE},Y^2,X*Y"], "(5e+399)"),
+    ],
+)
+def test_slopes_past_the_float_range_are_printed(argv, approx):
+    rc, out = capture(argv)
+    assert rc == 0 and approx in out
+    rc, out = capture(argv + ["--json"])
+    assert rc == 0 and json.loads(out)["result"]

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from syzstab.core import Monomial, MonomialFamily, PreconditionError, VerdictKind, is_primary
+from syzstab import monomial_stability
+from syzstab.core import (
+    Monomial,
+    MonomialFamily,
+    PreconditionError,
+    SubsetWitness,
+    VerdictKind,
+    is_primary,
+)
 from syzstab.monomial_stability import (
     _brute_extrema,
     _divides,
@@ -89,14 +97,22 @@ def test_max_slope_requires_primary():
         max_slope_brute_force(nonprimary)
 
 
-def test_oracle_ceiling():
-    with pytest.raises(PreconditionError):
-        max_slope_brute_force(all_monomials_family(2, 5), ceiling=10)
+def test_oracle_ceiling(monkeypatch):
+    def enumerate_subsets(*args):
+        raise AssertionError("the oracle enumerated a family above its ceiling")
+
+    monkeypatch.setattr(monomial_stability, "_brute_extrema", enumerate_subsets)
+    family = all_monomials_family(2, 5)  # 21 members
+    assert len(family) == monomial_stability.ORACLE_CEILING + 1
+    for engine in (max_slope_brute_force, oracle_verdict):
+        with pytest.raises(PreconditionError) as info:
+            engine(family)
+        assert info.value.criterion == "oracle-ceiling"
+        assert str(info.value) == "family of size 21 exceeds the brute-force ceiling 20"
 
 
-def test_slope_summary_brute_respects_oracle_ceiling(monkeypatch):
-    monkeypatch.delenv("SYZSTAB_ORACLE_CEILING", raising=False)
-    family = all_monomials_family(2, 5)  # 21 members, one above the default ceiling
+def test_slope_summary_brute_respects_oracle_ceiling():
+    family = all_monomials_family(2, 5)  # 21 members, one above the ceiling
     with pytest.raises(PreconditionError) as info:
         slope_summary(family, brute=True)
     assert info.value.criterion == "oracle-ceiling"
@@ -133,10 +149,13 @@ def exponent_families(draw):
 def test_pruned_extrema_match_brute_force(vectors):
     degrees = [sum(v) for v in vectors]
     fast, slow = _pruned_extrema(vectors, degrees), _brute_extrema(vectors, degrees)
-    assert fast.max_slope == slow.max_slope
-    assert fast.max_indices == slow.max_indices
-    assert fast.proper_slope == slow.proper_slope
-    assert fast.proper_indices == slow.proper_indices
+    family = fam(*vectors)
+
+    def slopes(extrema):
+        return [None if J is None else SubsetWitness.for_subset(family, J).slope for J in extrema]
+
+    assert slopes(fast) == slopes(slow)
+    assert fast == slow
 
 
 @st.composite
