@@ -62,13 +62,13 @@ def parse_monomial_text(text: str) -> dict[int, int]:
         if not match:
             raise InputError(f"cannot parse monomial factor {factor!r}")
         name, power = match.group(1), match.group(2)
-        exponent = int(power) if power is not None else 1
+        exponent = _digits_int(power, "exponent") if power is not None else 1
         if name in _NAMED_VARS:
             use_indexed = False
             index = _NAMED_VARS[name]
         elif re.fullmatch(r"X[0-9]+", name):
             use_indexed = True
-            index = int(name[1:])
+            index = _digits_int(name[1:], "variable index")
         else:
             raise InputError(f"unknown variable {name!r} (use X,Y,Z,W or X0..Xn)")
         if indexed is None:
@@ -79,6 +79,15 @@ def parse_monomial_text(text: str) -> dict[int, int]:
     if not exps:
         raise InputError("empty monomial")
     return exps
+
+
+def _digits_int(digits: str, field: str) -> int:
+    """The integer spelled by a run of decimal digits; one longer than the
+    interpreter's integer string-conversion limit is refused."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise InputError(f"{field} has too many digits ({len(digits)})")
 
 
 def parse_monomial_list(text: str, variables: Optional[int]) -> dict:
@@ -110,7 +119,9 @@ def load_document(args: argparse.Namespace) -> dict:
         raise InputError("no input document (use --monomials, --file or stdin)")
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer past the interpreter's
+        # string-conversion limit
         raise InputError(f"invalid JSON document: {exc}")
     return normalize_document(doc)
 

@@ -13,10 +13,23 @@ coefficients by ``core._integer_terms``.  A section at a twist where the
 sheaf degree is already negative spans a destabilizing line subsheaf;
 absence of sections below the slope bound certifies semistability for
 sheaves of rank 2 and (with a degree hypothesis) rank 3.
+
+Above the Macaulay bound b = (N+1)(D-1)+1 (N+1 variables, largest member
+degree D) one rank at b can decide every higher twist.  If the map (+) is
+onto R_b, that is I_b = R_b for the ideal I of the members, then
+I_m contains R_{m-b} I_b = R_m for every m >= b, so the map is onto at m and
+its nullity is the excess sum dim R_{m-d_i} - dim R_m.  The check at b is
+exact, so the rule holds for every family; it fires for exactly the primary
+ones.  A primary ideal generated in degrees <= D contains N+1 general forms
+of I_D, a regular sequence of degree-D forms, and the complete intersection
+they generate contains every form of degree above (N+1)(D-1), so R_b lies
+in I.  A family with a common zero fails the check at b and its map at the
+twist is ranked directly.
 """
 
 from __future__ import annotations
 
+from math import comb
 from operator import add
 from typing import Optional
 
@@ -89,9 +102,30 @@ def syzygy_section_dim(family: FamilyLike, twist: int) -> int:
     rank mod ``_matrix.PRIME`` is exact, a deficient one is exact once a
     lifted left-kernel certificate checks over the integers, and Bareiss
     elimination runs only when that check fails.
+
+    Above the Macaulay bound b = (N+1)(D-1)+1 (largest member degree D) the
+    map at b is ranked first.  When it is onto R_b, so is the map at every
+    twist m >= b, because the ideal then contains R_{m-b} R_b = R_m, and the
+    dimension is the excess sum dim R_{m-d_i} - dim R_m with no map built at
+    m.  Every primary family is onto at b (module docstring); any other
+    family falls back to the rank at the twist.
     """
     _require_int_twist(twist)
     polys, nvars = _as_polynomials(family)
+    bound = max(0, nvars * (max(p.degree for p in polys) - 1) + 1)
+    if twist > bound and _map_rank(polys, nvars, bound)[1] == _dim(nvars, bound):
+        return sum(_dim(nvars, twist - p.degree) for p in polys) - _dim(nvars, twist)
+    columns, rank = _map_rank(polys, nvars, twist)
+    return columns - rank
+
+
+def _dim(nvars: int, m: int) -> int:
+    """dim R_m, the number of degree-m monomials in ``nvars`` variables."""
+    return comb(m + nvars - 1, m) if m >= 0 else 0
+
+
+def _map_rank(polys: list[Polynomial], nvars: int, twist: int) -> tuple[int, int]:
+    """Number of columns and exact rank of the evaluation map at ``twist``."""
     if all(len(p.terms) == 1 for p in polys):
         columns = 0
         products = set()
@@ -100,11 +134,11 @@ def syzygy_section_dim(family: FamilyLike, twist: int) -> int:
             for b in degree_vectors(nvars, twist - poly.degree):
                 products.add(tuple(map(add, b, t)))
                 columns += 1
-        return columns - len(products)
+        return columns, len(products)
     rows = evaluation_matrix(polys, twist)
     if not rows or not rows[0]:
-        return 0
-    return len(rows[0]) - integer_rank(rows)
+        return 0, 0
+    return len(rows[0]), integer_rank(rows)
 
 
 def min_section_degree_monomial(family: MonomialFamily) -> int:

@@ -336,9 +336,10 @@ def test_line_test_command_deterministic():
     assert json.loads(out)["result"]["status"] == "CertifiedNo"
 
 
-# The nine CLI examples of README.md with the sha256 of their exact output in
+# The ten CLI examples of README.md with the sha256 of their exact output in
 # text mode and with --json, captured before the command table replaced the
-# per-command parser blocks; any byte of drift in a renderer shows up here.
+# per-command parser blocks (the tenth, above the Macaulay bound, before the
+# excess rule); any byte of drift in a renderer shows up here.
 README_EXAMPLES = [
     (
         'check --monomials "X^6,Y^6,Z^6,X^2*Y^2*Z^2,X*Y^2*Z^3"',
@@ -354,6 +355,11 @@ README_EXAMPLES = [
         'sections --monomials "X^3,X*Y^2,Z*Y^2" --twist 4',
         "6d7b35fe2d89de709c537ba41f35cb316c54e6e547b918d206d1bdbd4e92b2cb",
         "87fe78b4a7df7eb3fc11e1ad110e6ee5febe1dfaacd9c274170dc9025212ff58",
+    ),
+    (
+        'sections --monomials "X^3,Y^3,Z^3,X*Y*Z" --twist 9',
+        "0be3576f464b2dc47d784b34941c51d17b4bf1aa14ba0321106854153ae0f63e",
+        "bfb14f78ca3e356d742bd1befafe9564eced4760a217c158107da87cca70bcbd",
     ),
     (
         'lowrank --monomials "X^3,X*Y^2,Z*Y^2"',
@@ -504,3 +510,46 @@ def test_slopes_past_the_float_range_are_printed(argv, approx):
     assert rc == 0 and approx in out
     rc, out = capture(argv + ["--json"])
     assert rc == 0 and json.loads(out)["result"]
+
+
+# An integer longer than Python's string-conversion limit (4300 digits by
+# default) makes int() raise ValueError; the monomial parser and json.loads
+# let it escape as a traceback instead of exiting 1.
+OVERLONG = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "monomials, message",
+    [
+        (f"X^{OVERLONG},Y^2,X*Y", "error: exponent has too many digits (5001)"),
+        (f"X{OVERLONG},Y^2,X*Y", "error: variable index has too many digits (5001)"),
+    ],
+    ids=["exponent", "variable-index"],
+)
+def test_overlong_integers_in_monomial_text_exit_1(monomials, message, capsys):
+    for flags in ([], ["--json"]):
+        rc, out = capture(["check", "--monomials", monomials] + flags)
+        assert (rc, out) == (1, "")
+        assert capsys.readouterr().err == message + "\n"
+
+
+OVERLONG_DOCS = {
+    "exponent": f'{{"variables": 2, "monomials": [[{OVERLONG}, 0], [0, 2], [1, 1]]}}',
+    "num": '{"variables": 2, "polynomials": [{"terms": [[%s, 1, [1, 0]]]}, '
+    '{"terms": [[1, 1, [0, 1]]]}]}' % OVERLONG,
+}
+
+
+@pytest.mark.parametrize("source", ["stdin", "file"])
+@pytest.mark.parametrize("name", sorted(OVERLONG_DOCS))
+def test_overlong_integers_in_documents_exit_1(name, source, tmp_path, capsys):
+    argv, stdin = ["sections", "--twist", "2"], OVERLONG_DOCS[name]
+    if source == "file":
+        path = tmp_path / "doc.json"
+        path.write_text(stdin)
+        argv, stdin = argv + ["--file", str(path)], None
+    for flags in ([], ["--json"]):
+        rc, out = capture(argv + flags, stdin=stdin)
+        assert (rc, out) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON document: ") and "4300" in err

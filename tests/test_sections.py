@@ -4,10 +4,10 @@ from fractions import Fraction
 from math import comb, isqrt, lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from syzstab import _matrix
+from syzstab import _matrix, sections
 from syzstab.core import Monomial, MonomialFamily, Polynomial, PreconditionError, VerdictKind
 from syzstab.monomial_stability import degree_vectors, verdict
 from syzstab.sections import (
@@ -257,6 +257,115 @@ def polynomial_families(draw):
 def test_evaluation_matrix_matches_column_dict_oracle(case):
     family, m = case
     assert evaluation_matrix(family, m) == column_dict_evaluation_matrix(family, m)
+
+
+def macaulay_bound(family):
+    """b = (N+1)(D-1)+1 for N+1 variables and largest member degree D."""
+    return max(0, family[0].nvars * (max(p.degree for p in family) - 1) + 1)
+
+
+@st.composite
+def families_near_the_macaulay_bound(draw):
+    """1-4 members in 1-4 variables of mixed degrees, either single terms or
+    forms of 1-3 terms with integer or rational coefficients; optionally the
+    pure powers of every variable (a primary family), a repeated member, or
+    every member vanishing at (1:...:1) (a common zero).  The twist lies in
+    b-1..b+3 for the Macaulay bound b.  Degrees shrink as variables grow, so
+    the direct nullity stays cheap."""
+    nvars = draw(st.integers(1, 4))
+    top = (4, 3, 2, 2)[nvars - 1]
+    coeff = st.one_of(
+        st.integers(-5, 5).filter(bool),
+        st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)),
+    )
+    shape = draw(st.sampled_from(["monomial", "polynomial", "common-zero"]))
+    family = []
+    for _ in range(draw(st.integers(1, 4))):
+        vectors = list(degree_vectors(nvars, draw(st.integers(1, top))))
+        if shape == "monomial" or len(vectors) == 1:
+            family.append(poly((draw(coeff), draw(st.sampled_from(vectors)))))
+            continue
+        least = 2 if shape == "common-zero" else 1
+        chosen = draw(st.lists(st.sampled_from(vectors), min_size=least, max_size=3, unique=True))
+        terms = [(draw(coeff), v) for v in chosen]
+        if shape == "common-zero":
+            rest = sum(c for c, _ in terms[1:])
+            if not rest:
+                terms[1] = (2 * terms[1][0], terms[1][1])
+                rest = sum(c for c, _ in terms[1:])
+            terms[0] = (-rest, terms[0][1])
+        family.append(poly(*terms))
+    if shape != "common-zero" and draw(st.booleans()):
+        family += mono_polys(*(
+            tuple(e if i == j else 0 for i in range(nvars))
+            for j, e in enumerate(draw(st.lists(st.integers(1, top), min_size=nvars, max_size=nvars)))
+        ))
+    if draw(st.booleans()):
+        family.append(draw(st.sampled_from(family)))
+    return family, macaulay_bound(family) + draw(st.integers(-1, 3))
+
+
+def direct_nullity(family, twist):
+    rows = evaluation_matrix(family, twist)
+    return len(rows[0]) - _bareiss_rank(rows) if rows and rows[0] else 0
+
+
+# One variable, where b = D and twist b - 1 is below the top member's degree;
+# X - Y and Y - Z, which vanish at (1:1:1) and are onto nowhere; the same
+# with Z^2 added, primary, onto from twist 2 on.
+@example(([poly((1, (3,))), poly((2, (1,)))], 2))
+@example(([poly((1, (1, 0, 0)), (-1, (0, 1, 0))), poly((1, (0, 1, 0)), (-1, (0, 0, 1)))], 3))
+@example(([poly((1, (1, 0, 0)), (-1, (0, 1, 0))), poly((1, (0, 1, 0)), (-1, (0, 0, 1))), poly((1, (0, 0, 2)))], 5))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(families_near_the_macaulay_bound())
+def test_section_dim_around_the_macaulay_bound_matches_direct_nullity(case):
+    # Above b the dimension is the excess once the map at b is onto; the
+    # nullity of the evaluation matrix computed by Bareiss is the oracle.
+    family, m = case
+    assert syzygy_section_dim(family, m) == direct_nullity(family, m)
+
+
+def ranked_row_counts(monkeypatch) -> list:
+    ranked = []
+
+    def counted(rows):
+        ranked.append(len(rows))
+        return integer_rank(rows)
+
+    monkeypatch.setattr(sections, "integer_rank", counted)
+    return ranked
+
+
+def test_primary_quintics_rank_only_the_map_at_the_bound(monkeypatch):
+    # These quintics have no common zero, so the 105-row map at b = 13 is
+    # onto, and twist 22 (276 rows) is read off the excess.
+    family = [
+        poly((1, (5, 0, 0)), (-1, (1, 2, 2)), (2, (0, 4, 1))),
+        poly((1, (0, 5, 0)), (3, (2, 2, 1)), (-1, (4, 0, 1))),
+        poly((1, (0, 0, 5)), (1, (3, 1, 1)), (-2, (1, 4, 0))),
+        poly((1, (2, 2, 1)), (-1, (1, 1, 3)), (1, (3, 0, 2))),
+    ]
+    ranked = ranked_row_counts(monkeypatch)
+    dim = syzygy_section_dim(family, 22)
+    assert ranked == [105]
+    assert dim == 4 * comb(19, 2) - comb(24, 2)
+    assert dim == direct_nullity(family, 22)
+
+
+def test_quintics_with_a_common_zero_fall_back_to_the_twist(monkeypatch):
+    # Every member vanishes at (1:1:1), so the map at b = 13 misses R_13 and
+    # the 276-row map at twist 22 is ranked as well.
+    family = [
+        poly((1, (5, 0, 0)), (-1, (0, 5, 0))),
+        poly((1, (0, 5, 0)), (-1, (0, 0, 5)), (2, (2, 2, 1)), (-2, (1, 2, 2))),
+        poly((1, (3, 2, 0)), (-1, (0, 0, 5))),
+        poly((1, (1, 4, 0)), (-1, (2, 0, 3))),
+    ]
+    ranked = ranked_row_counts(monkeypatch)
+    dim = syzygy_section_dim(family, 22)
+    assert ranked == [105, 276]
+    assert dim > 4 * comb(19, 2) - comb(24, 2)
+    assert dim == direct_nullity(family, 22)
 
 
 def test_section_dim_monotone_once_positive():
