@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (
+    MAX_VARIABLES,
     Monomial,
     MonomialFamily,
     Polynomial,
@@ -95,10 +96,14 @@ def parse_monomial_list(text: str, variables: Optional[int]) -> dict:
     if not parsed:
         raise InputError("no monomials given")
     needed = max(max(e) for e in parsed) + 1
+    if needed > MAX_VARIABLES:
+        raise InputError(f"monomials use {needed} variables; at most {MAX_VARIABLES} are supported")
     if variables is None:
         variables = needed
     elif variables < needed:
         raise InputError(f"--vars {variables} is too small; monomials use {needed} variables")
+    elif variables > MAX_VARIABLES:
+        raise InputError(f"--vars {variables} is too large; at most {MAX_VARIABLES} are supported")
     vectors = [[e.get(j, 0) for j in range(variables)] for e in parsed]
     return {"variables": variables, "monomials": vectors}
 

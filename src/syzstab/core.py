@@ -29,6 +29,10 @@ class PreconditionError(ValueError):
 
 _VAR_NAMES = ("X", "Y", "Z", "W")
 
+# Exponent vectors are dense, one entry per variable, so the CLI and
+# ``SearchSpec`` refuse a larger variable count before building any vector.
+MAX_VARIABLES = 256
+
 
 def variable_name(index: int, nvars: int) -> str:
     """Display name of a variable: X, Y, Z, W for up to four, else X0, X1, ..."""

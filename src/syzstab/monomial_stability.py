@@ -133,6 +133,12 @@ class _PathClosure:
     is the largest (deg g - s*d)/(s - 1) over entries with s >= 2 (``den`` is
     0 while there is none).  A search node shares it with its children, and
     ``same_degree_check`` folds it over a family.
+
+    ``capped`` rules a child out before ``push`` builds it.  A push keeps
+    every entry and only adds members to masks, so ``num/den`` never falls,
+    while the cap (deg gcd - n*d)/(n - 1) of ``violates`` never rises, as
+    the gcd only shrinks.  Once ``num/den`` beats the cap at meet(base, v),
+    the child violates, and so does every state below it.
     """
 
     __slots__ = ("layout", "chosen", "closure", "base", "num", "den")
@@ -214,6 +220,26 @@ class _PathClosure:
         d = self.layout[1]
         return self.den > 0 and self.num * (n - 1) > (self.degree(self.base) - n * d) * self.den
 
+    def capped(self, v: int, n: int) -> bool:
+        """Whether ``push(v).violates(n)`` is certain without building the
+        child: the largest value so far beats the cap at the child's gcd
+        meet(base, v) (see the class docstring).  A few word operations."""
+        if not self.den:
+            return False
+        cap = self.degree(self.meet(self.base, v)) - n * self.layout[1]
+        return self.num * (n - 1) > cap * self.den
+
+    def primary(self) -> bool:
+        """Whether the reduction of the chosen members by ``base`` is primary
+        (the word-level test of ``accepts``)."""
+        _, _, _, guard, ones, *_ = self.layout
+        covered = 0
+        for v in self.chosen:
+            nz = (((v - self.base) | guard) - ones) & guard  # nonzero slots
+            if not nz & (nz - 1):  # a pure power
+                covered |= nz
+        return covered == guard
+
     def accepts(self, stable: bool) -> bool:
         """Whether ``verdict`` would call the chosen family Stable or (unless
         ``stable``) SemistableNotStable.
@@ -225,12 +251,18 @@ class _PathClosure:
         best at k = s; k = n - 1 under ``base`` stays below the family slope,
         as deg base < d.  So ``violates`` means Unstable, and an entry with
         2 <= s < n at the family slope means SemistableNotStable.
+
+        Primality is read off the words by ``primary``.  base divides each
+        member v, so v - base is the packed reduction with no borrow, and
+        with K the low bit of every slot, ((v - base) | H) - K keeps the
+        guard bit of exactly the nonzero slots: nz.  The reduction is a pure
+        power when nz has one bit, and the family is primary when the pure
+        powers' nz cover H, one per variable.
         """
-        (variables, d, *_), n = self.layout, len(self.chosen)
+        d, n = self.layout[1], len(self.chosen)
         if n == 2:
             return True
-        reduced = (self.unpack(v - self.base) for v in self.chosen)  # no borrow: base | v
-        if self.violates(n) or len(_pure_powers(reduced)) < variables:
+        if self.violates(n) or not self.primary():
             return False
         cap = self.degree(self.base) - n * d
         return not stable or all(

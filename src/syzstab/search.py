@@ -16,21 +16,31 @@ the largest value so far), and a completed family is decided from it by
 family gcd is the only entry with s = n and its value is the family slope,
 and every other entry is best at k = s.
 
-Candidates are packed once into the closure's word layout: one int per
-exponent vector, w = d.bit_length() + 1 bits per variable, so a meet and a
-degree are a few word operations, and choosing v costs one pass over the
-closure with no rescan of the chosen members (the mask of a new meet is the
-union of the masks that produce it).
+Most pruned children are ruled out before they are built.  The child that
+adds v has gcd meet(base, v), so its cap is known from the parent's running
+gcd, and a push keeps every entry and only adds members to masks, so the
+parent's largest value is a lower bound for the child's.  When it already
+beats the child's cap (``_PathClosure.capped``, a few word operations), the
+child violates and is skipped without a push.  The other children are
+pushed and tested in full, so the search visits exactly the nodes it would
+without this shortcut.
+
+Candidates are packed into the closure's word layout as the loop first
+reaches them, so the set-up grows with the part of the list the search
+reaches, not with its length C(N + d, N).  One int holds an exponent vector,
+w = d.bit_length() + 1 bits per variable, so a meet and a degree are a few
+word operations, and choosing v costs one pass over the closure with no
+rescan of the chosen members (the mask of a new meet is the union of the
+masks that produce it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from math import comb
 from typing import Optional
 
-from .core import MonomialFamily, PreconditionError, _pure_powers
+from .core import MAX_VARIABLES, MonomialFamily, PreconditionError, _pure_powers
 from .monomial_stability import _PathClosure, degree_vectors
 
 DEFAULT_BUDGET = 2_000_000
@@ -49,8 +59,11 @@ class SearchSpec:
 
     def __post_init__(self):
         ints = type(self.variables) is int and type(self.degree) is int
-        if not ints or self.variables < 2 or self.degree < 1:
-            raise PreconditionError("search-range", "need integers: >= 2 variables, degree >= 1")
+        if not ints or not 2 <= self.variables <= MAX_VARIABLES or self.degree < 1:
+            raise PreconditionError(
+                "search-range",
+                f"need integers: 2 to {MAX_VARIABLES} variables, degree >= 1",
+            )
         if self.require not in ("semistable", "stable"):
             raise PreconditionError("search-require", "require must be semistable or stable")
         if type(self.budget) is not int or self.budget < 1:
@@ -89,13 +102,21 @@ def find_semistable_family(spec: SearchSpec, prune: bool = True) -> SearchResult
     useful to cross-check that pruning skips no acceptable family.
     """
     root = _PathClosure.root(spec.variables, spec.degree)
-    vectors = list(degree_vectors(spec.variables, spec.degree))
-    monos = [root.pack(v) for v in vectors]
-    total = len(monos)
+    total = comb(spec.variables - 1 + spec.degree, spec.variables - 1)
     n = spec.count
     stable = spec.require == "stable"
-    pure = [len(_pure_powers([v])) for v in vectors]
-    pure_below = list(accumulate(pure, initial=0))  # pure powers before each index
+    # candidates are packed as the loop index first reaches them
+    vectors = degree_vectors(spec.variables, spec.degree)
+    monos: list[int] = []
+    pure: list[int] = []
+    pure_below = [0]  # pure powers before each index
+
+    def pack_next() -> None:
+        v = next(vectors)
+        monos.append(root.pack(v))
+        pure.append(len(_pure_powers([v])))
+        pure_below.append(pure_below[-1] + pure[-1])
+
     nodes = 0
     found: Optional[MonomialFamily] = None
 
@@ -117,6 +138,10 @@ def find_semistable_family(spec: SearchSpec, prune: bool = True) -> SearchResult
                 return True
             return False
         for i in range(start, total - slots + 1):
+            if i == len(monos):
+                pack_next()
+            if prune and state.capped(monos[i], n):
+                continue
             child = state.push(monos[i])
             if prune and child.violates(n):
                 continue
@@ -130,3 +155,8 @@ def find_semistable_family(spec: SearchSpec, prune: bool = True) -> SearchResult
         return SearchResult(SearchStatus.EXHAUSTED, None, nodes)
     except _BudgetExceeded:
         return SearchResult(SearchStatus.BUDGET_EXCEEDED, None, nodes)
+    finally:
+        # ``visit`` reaches itself through its closure: break that cycle, so
+        # that the candidate generator and lists are freed on return, not
+        # whenever the cycle collector reaches them
+        del visit

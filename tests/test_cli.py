@@ -13,6 +13,7 @@ import pytest
 import syzstab
 from syzstab import monomial_stability
 from syzstab.cli import normalize_document, parse_monomial_text, run
+from syzstab.core import MAX_VARIABLES
 from syzstab.monomial_stability import degree_vectors
 
 
@@ -553,3 +554,50 @@ def test_overlong_integers_in_documents_exit_1(name, source, tmp_path, capsys):
         assert (rc, out) == (1, "")
         err = capsys.readouterr().err
         assert err.startswith("error: invalid JSON document: ") and "4300" in err
+
+
+# Exponent vectors are dense, so a variable count past the limit is refused
+# before any is built: at 10^8 variables, building them runs out of memory.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--monomials", "X100000000,Y^2,X*Y"],
+         f"error: monomials use 100000001 variables; at most {MAX_VARIABLES} are supported"),
+        (["--vars", "100000000", "--monomials", "X^2,Y^2"],
+         f"error: --vars 100000000 is too large; at most {MAX_VARIABLES} are supported"),
+        (["--monomials", f"X{MAX_VARIABLES},Y^2,X*Y"],
+         f"error: monomials use {MAX_VARIABLES + 1} variables; at most {MAX_VARIABLES} are supported"),
+        (["--vars", str(MAX_VARIABLES + 1), "--monomials", "X^2,Y^2"],
+         f"error: --vars {MAX_VARIABLES + 1} is too large; at most {MAX_VARIABLES} are supported"),
+    ],
+    ids=["index", "vars", "index-past-limit", "vars-past-limit"],
+)
+def test_variable_counts_past_the_limit_exit_1(argv, message, capsys):
+    for flags in ([], ["--json"]):
+        rc, out = capture(["check"] + argv + flags)
+        assert (rc, out) == (1, "")
+        assert capsys.readouterr().err == message + "\n"
+
+
+def test_variable_count_at_the_limit_is_accepted():
+    top = MAX_VARIABLES - 1
+    rc, out = capture(["check", "--monomials", f"X{top}^2,X0^2", "--json"])
+    assert rc == 0
+    assert json.loads(out)["input"]["variables"] == MAX_VARIABLES
+    rc, out = capture(["check", "--vars", str(MAX_VARIABLES), "--monomials", "X^2,Y^2"])
+    assert rc == 0
+
+
+@pytest.mark.parametrize("variables", [MAX_VARIABLES + 1, 100_000_000])
+def test_search_past_the_variable_limit_is_refused(variables, capsys):
+    argv = ["search", "--vars", str(variables), "--degree", "1", "--count", "2"]
+    assert capture(argv) == (2, "")
+    assert capsys.readouterr().err.startswith("precondition violated [search-range]")
+
+
+def test_search_at_the_variable_limit_runs():
+    argv = ["search", "--vars", str(MAX_VARIABLES), "--degree", "1", "--count", "2", "--json"]
+    rc, out = capture(argv)
+    assert rc == 0
+    result = json.loads(out)["result"]
+    assert (result["status"], result["nodes"]) == ("Found", 3)

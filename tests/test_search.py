@@ -1,3 +1,4 @@
+import gc
 import io
 import itertools
 from fractions import Fraction
@@ -5,11 +6,18 @@ from functools import reduce
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from syzstab.cli import run
-from syzstab.core import MonomialFamily, PreconditionError, VerdictKind, is_primary
+from syzstab.core import (
+    MonomialFamily,
+    PreconditionError,
+    VerdictKind,
+    _pure_powers,
+    _vector_gcd,
+    is_primary,
+)
 from syzstab.monomial_stability import (
     _divides,
     _meet_closure,
@@ -234,6 +242,82 @@ def test_leaf_rule_matches_verdict(case):
     kind = verdict(MonomialFamily.from_exponents(members)).kind
     for require, accepted in ACCEPTED.items():
         assert state.accepts(require == "stable") == (kind in accepted)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(equal_degree_families(), push_sequences().map(lambda c: (c[1], c[3]))))
+def test_packed_primary_test_matches_pure_powers(case):
+    d, members = case
+    root = _PathClosure.root(len(members[0]), d)
+    state = reduce(_PathClosure.push, map(root.pack, members), root)
+    base = _vector_gcd(members)
+    reduced = [tuple(x - b for x, b in zip(v, base)) for v in members]
+    assert state.primary() == (len(_pure_powers(reduced)) == len(base))
+
+
+@st.composite
+def search_paths(draw):
+    """A target count n and a path of 1 to n - 1 distinct members of one
+    degree d <= 6 in 2-4 variables, so that values often tie with caps."""
+    variables, d = draw(st.integers(2, 4)), draw(st.integers(1, 6))
+    monos = list(degree_vectors(variables, d))
+    n = draw(st.integers(2, min(10, len(monos))))
+    path = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=n - 1, unique=True))
+    return variables, d, n, path
+
+
+def _capped_children(case):
+    """(state, packed candidate, n) for every candidate ``capped`` rules out
+    at any state along the path."""
+    variables, d, n, path = case
+    state = _PathClosure.root(variables, d)
+    monos = [state.pack(v) for v in degree_vectors(variables, d)]
+    for v in path:
+        state = state.push(state.pack(v))
+        for m in monos:
+            if m not in state.chosen and state.capped(m, n):
+                yield state, m, n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(search_paths())
+def test_capped_child_violates(case):
+    for state, m, n in _capped_children(case):
+        assert state.push(m).violates(n)
+
+
+def test_capped_fires_on_some_path():
+    once = settings(max_examples=300, derandomize=True, database=None)
+    find(search_paths(), lambda case: any(_capped_children(case)), settings=once)
+
+
+def test_budget_bounds_candidate_packing(monkeypatch):
+    # 2,003,001 candidates of degree 2000 in 3 variables, and a family after
+    # 4 nodes: only the candidates the loop reaches are packed
+    packed = []
+    pack = _PathClosure.pack
+    monkeypatch.setattr(_PathClosure, "pack", lambda self, v: packed.append(v) or pack(self, v))
+    result = find_semistable_family(SearchSpec(3, 2000, 3, budget=5))
+    assert (result.status, result.nodes) == (SearchStatus.FOUND, 4)
+    assert result.family.exponent_vectors() == ((2000, 0, 0), (1999, 1, 0), (1999, 0, 1))
+    assert packed == list(result.family.exponent_vectors())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SearchSpec(3, 4, 5), SearchSpec(3, 4, 8, budget=3), SearchSpec(2, 5, 3, primary_only=True)],
+    ids=["found", "budget", "exhausted"],
+)
+def test_search_leaves_no_reference_cycle(spec):
+    # the DFS recurses through a closure, a cycle that would hold the
+    # candidate generator and lists until the cycle collector ran
+    gc.collect()
+    gc.disable()
+    try:
+        find_semistable_family(spec)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_spec_validation():
