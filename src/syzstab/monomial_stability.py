@@ -492,15 +492,26 @@ def four_monomial_check(d1: int, d2: int, d3: int, a: Sequence[int] | Monomial) 
 
 
 def degree_vectors(nvars: int, d: int):
-    """All exponent vectors of total degree d, in descending lexicographic order."""
-    if d < 0:
+    """All exponent vectors of total degree d, in descending lexicographic order.
+
+    The successor of v lowers the last nonzero slot j before the final one by
+    1 and moves the final slot's value plus 1 into slot j + 1; with no such
+    j, v = (0, ..., 0, d) is the last vector.
+    """
+    if d < 0 or nvars < 1:
         return
-    if nvars == 1:
-        yield (d,)
-        return
-    for e in range(d, -1, -1):
-        for rest in degree_vectors(nvars - 1, d - e):
-            yield (e,) + rest
+    v = [d] + [0] * (nvars - 1)
+    last = nvars - 1
+    while True:
+        yield tuple(v)
+        j = last - 1
+        while j >= 0 and not v[j]:
+            j -= 1
+        if j < 0:
+            return
+        tail, v[last] = v[last], 0
+        v[j] -= 1
+        v[j + 1] = tail + 1
 
 
 def all_monomials_family(N: int, d: int) -> MonomialFamily:

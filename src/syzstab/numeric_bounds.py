@@ -7,6 +7,7 @@ take the least integer strictly satisfying the underlying inequality.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor
@@ -49,14 +50,23 @@ def flenner_restriction_degree(N: int, r: int) -> int:
     curves preserves semistability of rank-r sheaves on N-dimensional space:
 
         (C(k+N, N) - (N-1)k - 1) / k  >  max((r^2 - 1)/4, 1).
+
+    The left side is (C(k+N, N) - 1)/k - (N-1), and C(k+N, N) - 1 is a
+    polynomial in k with positive coefficients and no constant term, so it
+    increases with k: the least k is found by doubling, then bisection.
     """
     if N < 2 or r < 2:
         raise PreconditionError("flenner-range", "need N >= 2 and r >= 2")
     threshold = max(Fraction(r * r - 1, 4), Fraction(1))
-    k = 1
-    while Fraction(comb(k + N, N) - (N - 1) * k - 1, k) <= threshold:
-        k += 1
-    return k
+
+    def above(k: int) -> bool:
+        return Fraction(comb(k + N, N) - (N - 1) * k - 1, k) > threshold
+
+    hi = 1
+    while not above(hi):
+        hi *= 2
+    ks = range(hi // 2 + 1, hi + 1)  # hi // 2 is 0 or not above
+    return ks[bisect_left(ks, True, key=above)]
 
 
 def discriminant(degrees: Sequence[int]) -> int:

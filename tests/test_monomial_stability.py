@@ -516,6 +516,27 @@ def test_all_monomials_family():
     assert len(all_monomials_family(2, 2)) == 6
     with pytest.raises(PreconditionError):
         all_monomials_family(0, 3)
+    # 1201 variables: one nested generator per variable hit the recursion limit
+    family = all_monomials_family(1200, 1)
+    assert len(family) == 1201 and family.exponent_vectors()[-1] == (0,) * 1200 + (1,)
+
+
+def _recursive_degree_vectors(nvars, d):
+    """Reference enumeration: one nested generator per variable."""
+    if d < 0:
+        return
+    if nvars == 1:
+        yield (d,)
+        return
+    for e in range(d, -1, -1):
+        for rest in _recursive_degree_vectors(nvars - 1, d - e):
+            yield (e,) + rest
+
+
+@pytest.mark.parametrize("nvars", range(1, 6))
+def test_degree_vectors_match_recursive_reference(nvars):
+    for d in range(-1, 9):
+        assert list(degree_vectors(nvars, d)) == list(_recursive_degree_vectors(nvars, d))
 
 
 def test_verdicts_match_oracle_on_nonprimary_samples():

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -70,10 +71,28 @@ def test_necessary_condition_is_the_master_inequality(ds):
 
 def test_flenner_thresholds_on_the_plane():
     assert [flenner_restriction_degree(2, r) for r in (2, 3, 4)] == [2, 4, 7]
+    # on the plane the left side is (k + 1)/2, so k = (r^2 - 1)/2 for odd r;
+    # a linear scan takes about 4.5 million steps here
+    assert flenner_restriction_degree(2, 2999) == (2999 * 2999 - 1) // 2
     with pytest.raises(PreconditionError):
         flenner_restriction_degree(1, 2)
     with pytest.raises(PreconditionError):
         flenner_restriction_degree(2, 1)
+
+
+def _flenner_linear_scan(N, r):
+    """Reference: the least k, stepping k up from 1."""
+    threshold = max(Fraction(r * r - 1, 4), Fraction(1))
+    k = 1
+    while Fraction(comb(k + N, N) - (N - 1) * k - 1, k) <= threshold:
+        k += 1
+    return k
+
+
+def test_flenner_search_matches_linear_scan():
+    for N in range(2, 7):
+        for r in range(2, 61):
+            assert flenner_restriction_degree(N, r) == _flenner_linear_scan(N, r), (N, r)
 
 
 def test_flenner_nonincreasing_in_dimension():

@@ -1,6 +1,8 @@
 import gc
 import io
 import itertools
+import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from math import comb
@@ -27,7 +29,13 @@ from syzstab.monomial_stability import (
     oracle_verdict,
     verdict,
 )
-from syzstab.search import SearchSpec, SearchStatus, find_semistable_family
+from syzstab.search import (
+    DEFAULT_BUDGET,
+    SearchResult,
+    SearchSpec,
+    SearchStatus,
+    find_semistable_family,
+)
 from strategies import degree_vector
 
 ACCEPTED = {
@@ -329,41 +337,6 @@ def test_spec_validation():
         SearchSpec(variables=3, degree=2, count=3, require="very-stable")
 
 
-def test_pruning_skips_no_acceptable_family():
-    for degree in (1, 2, 3):
-        top = comb(degree + 2, 2)
-        for count in range(2, top + 1):
-            pruned = find_semistable_family(SearchSpec(3, degree, count), prune=True)
-            plain = find_semistable_family(SearchSpec(3, degree, count), prune=False)
-            assert pruned.status == plain.status
-            if pruned.status == SearchStatus.FOUND:
-                assert (
-                    pruned.family.exponent_vectors() == plain.family.exponent_vectors()
-                )
-
-
-# (variables, degree) with at most 10 monomials, so the unpruned search stays small
-SMALL_RANGES = [(2, d) for d in range(1, 10)] + [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
-
-
-@st.composite
-def small_specs(draw):
-    variables, degree = draw(st.sampled_from(SMALL_RANGES))
-    count = draw(st.integers(2, comb(variables - 1 + degree, degree)))
-    require = draw(st.sampled_from(["semistable", "stable"]))
-    return SearchSpec(variables, degree, count, require=require, primary_only=draw(st.booleans()))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(small_specs())
-def test_prune_is_sound_property(spec):
-    pruned = find_semistable_family(spec, prune=True)
-    plain = find_semistable_family(spec, prune=False)
-    assert pruned.status == plain.status
-    assert pruned.family == plain.family
-    assert pruned.nodes <= plain.nodes
-
-
 def _first_accepted(spec):
     """First n-subset in combinations order whose verdict is acceptable."""
     for combo in itertools.combinations(degree_vectors(spec.variables, spec.degree), spec.count):
@@ -375,19 +348,66 @@ def _first_accepted(spec):
     return None
 
 
+def _assert_matches_plain_scan(spec):
+    family = _first_accepted(spec)
+    status = SearchStatus.EXHAUSTED if family is None else SearchStatus.FOUND
+    result = find_semistable_family(spec)
+    assert (result.status, result.family) == (status, family), spec
+    return result
+
+
+def test_pruning_skips_no_acceptable_family():
+    for degree in (1, 2, 3):
+        for count in range(2, comb(degree + 2, 2) + 1):
+            _assert_matches_plain_scan(SearchSpec(3, degree, count))
+
+
+# (variables, degree) with at most 10 monomials, so the plain subset scan stays small
+SMALL_RANGES = [(2, d) for d in range(1, 10)] + [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
+
+
+@st.composite
+def small_specs(draw):
+    variables, degree = draw(st.sampled_from(SMALL_RANGES))
+    count = draw(st.integers(2, comb(variables - 1 + degree, degree)))
+    require = draw(st.sampled_from(["semistable", "stable"]))
+    return SearchSpec(variables, degree, count, require=require, primary_only=draw(st.booleans()),
+                      budget=draw(st.integers(1, 60)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_specs())
+def test_prune_is_sound_property(spec):
+    # a budget only cuts the same node sequence short
+    full = _assert_matches_plain_scan(replace(spec, budget=DEFAULT_BUDGET))
+    result = find_semistable_family(spec)
+    if full.nodes <= spec.budget:
+        assert result == full
+    else:
+        assert result == SearchResult(SearchStatus.BUDGET_EXCEEDED, None, spec.budget)
+
+
 def test_search_returns_the_first_subset_the_verdict_accepts():
-    # the leaf rule replaces the verdict engine in the search, so both the
-    # pruned and the unpruned DFS are checked against a plain scan over subsets
+    # the leaf rule replaces the verdict engine in the search, so the DFS is
+    # checked against a plain scan over subsets
     for variables, degree in SMALL_RANGES:
         for count in range(2, comb(variables - 1 + degree, degree) + 1):
             for require, primary_only in itertools.product(ACCEPTED, (False, True)):
-                spec = SearchSpec(variables, degree, count, require=require,
-                                  primary_only=primary_only)
-                family = _first_accepted(spec)
-                status = SearchStatus.EXHAUSTED if family is None else SearchStatus.FOUND
-                for prune in (True, False):
-                    result = find_semistable_family(spec, prune=prune)
-                    assert (result.status, result.family) == (status, family), (spec, prune)
+                _assert_matches_plain_scan(
+                    SearchSpec(variables, degree, count, require=require, primary_only=primary_only)
+                )
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # a family of 300 members is a path of 300 nodes below the root
+    spec = SearchSpec(3, 24, 300)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        result = find_semistable_family(spec)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.status == SearchStatus.FOUND and len(result.family) == 300
 
 
 def test_determinism():

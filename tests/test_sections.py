@@ -40,6 +40,9 @@ def test_monomial_basis():
     assert [m.exponents for m in monomial_basis(2, 0)] == [(0, 0, 0)]
     assert monomial_basis(2, -1) == []
     assert len(monomial_basis(1, 3)) == 4
+    # 1201 variables: the enumeration does not recurse once per variable
+    basis = monomial_basis(1200, 1)
+    assert len(basis) == 1201 and basis[0].exponents == (1,) + (0,) * 1200
 
 
 # A bool twist used to be read as twist 1, a float one raised a bare
