@@ -15,16 +15,22 @@ absence of sections below the slope bound certifies semistability for
 sheaves of rank 2 and (with a degree hypothesis) rank 3.
 
 Above the Macaulay bound b = (N+1)(D-1)+1 (N+1 variables, largest member
-degree D) one rank at b can decide every higher twist.  If the map (+) is
-onto R_b, that is I_b = R_b for the ideal I of the members, then
-I_m contains R_{m-b} I_b = R_m for every m >= b, so the map is onto at m and
-its nullity is the excess sum dim R_{m-d_i} - dim R_m.  The check at b is
-exact, so the rule holds for every family; it fires for exactly the primary
-ones.  A primary ideal generated in degrees <= D contains N+1 general forms
-of I_D, a regular sequence of degree-D forms, and the complete intersection
-they generate contains every form of degree above (N+1)(D-1), so R_b lies
-in I.  A family with a common zero fails the check at b and its map at the
-twist is ranked directly.
+degree D) at most two ranks decide every higher twist.  The nullity at m is
+the excess sum dim R_{m-d_i} - dim R_m plus c_m = dim (R/I)_m, the Hilbert
+function of the ideal I of the members, and c_m is read off the maps at b and
+b + 1.  If c_b = 0, that is I_b = R_b, then I_m contains R_{m-b} I_b = R_m
+for every m >= b.  Every primary family has c_b = 0: its ideal contains N+1
+general forms of I_D, a regular sequence of degree-D forms, and the complete
+intersection they generate contains every form of degree above (N+1)(D-1).
+If 0 < c_b <= b and c_{b+1} = c_b, then c_m = c_b for every m >= b by
+Gotzmann's persistence theorem (G. Gotzmann, Math. Z. 158, 1978; M. Green,
+"Generic initial ideals", 1998, Thm. 3.8): I is generated in degrees
+<= D <= b, the b-th Macaulay representation of c <= b is c binomials
+C(k, k) = 1, so c^<b> = c, and c_{b+1} = c_b^<b> is the theorem's hypothesis.
+Both checks are exact, so the rule is sound for every family.  The second
+case needs finitely many common zeros (a constant c is their number, counted
+with multiplicity) and at most b of them; any other family, for instance one
+with a curve of common zeros, is ranked at the twist.
 """
 
 from __future__ import annotations
@@ -104,17 +110,30 @@ def syzygy_section_dim(family: FamilyLike, twist: int) -> int:
     elimination runs only when that check fails.
 
     Above the Macaulay bound b = (N+1)(D-1)+1 (largest member degree D) the
-    map at b is ranked first.  When it is onto R_b, so is the map at every
-    twist m >= b, because the ideal then contains R_{m-b} R_b = R_m, and the
-    dimension is the excess sum dim R_{m-d_i} - dim R_m with no map built at
-    m.  Every primary family is onto at b (module docstring); any other
-    family falls back to the rank at the twist.
+    map at b is ranked first; it misses c = dim R_b - rank dimensions.  With
+    c = 0 the map is onto at every twist m >= b, and the dimension is the
+    excess sum dim R_{m-d_i} - dim R_m with no map built at m.  With
+    0 < c <= b the map at b + 1 is ranked too: at m = b + 1 its nullity is
+    the answer, and when it misses c dimensions again the count c persists
+    to every higher twist (Gotzmann, module docstring), so the dimension is
+    the excess plus c.  Primary families take the first branch; a family
+    with at most b common zeros, counted with multiplicity, takes the second
+    once its count has settled by b; any other family falls back to the rank
+    at the twist.
     """
     _require_int_twist(twist)
     polys, nvars = _as_polynomials(family)
     bound = max(0, nvars * (max(p.degree for p in polys) - 1) + 1)
-    if twist > bound and _map_rank(polys, nvars, bound)[1] == _dim(nvars, bound):
-        return sum(_dim(nvars, twist - p.degree) for p in polys) - _dim(nvars, twist)
+    if twist > bound:
+        gap = _dim(nvars, bound) - _map_rank(polys, nvars, bound)[1]
+        persists = gap == 0
+        if 0 < gap <= bound:
+            columns, rank = _map_rank(polys, nvars, bound + 1)
+            if twist == bound + 1:
+                return columns - rank
+            persists = _dim(nvars, bound + 1) - rank == gap
+        if persists:
+            return sum(_dim(nvars, twist - p.degree) for p in polys) - _dim(nvars, twist) + gap
     columns, rank = _map_rank(polys, nvars, twist)
     return columns - rank
 

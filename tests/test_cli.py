@@ -337,10 +337,11 @@ def test_line_test_command_deterministic():
     assert json.loads(out)["result"]["status"] == "CertifiedNo"
 
 
-# The ten CLI examples of README.md with the sha256 of their exact output in
-# text mode and with --json, captured before the command table replaced the
-# per-command parser blocks (the tenth, above the Macaulay bound, before the
-# excess rule); any byte of drift in a renderer shows up here.
+# The eleven CLI examples of README.md with the sha256 of their exact output
+# in text mode and with --json, captured before the command table replaced the
+# per-command parser blocks (the two above the Macaulay bound before the
+# excess rule, respectively the persistence rule, that now decides them); any
+# byte of drift in a renderer shows up here.
 README_EXAMPLES = [
     (
         'check --monomials "X^6,Y^6,Z^6,X^2*Y^2*Z^2,X*Y^2*Z^3"',
@@ -361,6 +362,11 @@ README_EXAMPLES = [
         'sections --monomials "X^3,Y^3,Z^3,X*Y*Z" --twist 9',
         "0be3576f464b2dc47d784b34941c51d17b4bf1aa14ba0321106854153ae0f63e",
         "bfb14f78ca3e356d742bd1befafe9564eced4760a217c158107da87cca70bcbd",
+    ),
+    (
+        'sections --vars 3 --monomials "X^2,X*Y,Y^2" --twist 9',
+        "5c9dbfd8c4711696deae74056a3e5d5fe40f1ad3e363519aa2dbadccd4cdcccf",
+        "4b9e6335495734b4ae9e8c3653afc1a205742b2bddd90621d80d156b624f627f",
     ),
     (
         'lowrank --monomials "X^3,X*Y^2,Z*Y^2"',

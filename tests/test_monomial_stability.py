@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
@@ -34,6 +35,7 @@ from syzstab.monomial_stability import (
     verdict,
 )
 from syzstab.numeric_bounds import necessary_condition
+from syzstab.search import SearchSpec, find_semistable_family
 from strategies import degree_vector
 
 
@@ -220,17 +222,53 @@ def test_verdict_is_invariant_under_permuting_variables(vectors, rnd):
 
 
 @st.composite
-def primary_families(draw):
-    """A primary family of 3-8 distinct members in 2-4 variables, exponents 0-3."""
+def primary_families(draw, most=8):
+    """A primary family of 3 to ``most`` distinct members in 2-4 variables,
+    exponents 0-3."""
     nvars = draw(st.integers(2, 4))
     powers = [
         tuple(e if i == j else 0 for i in range(nvars))
         for j, e in enumerate(draw(st.lists(st.integers(1, 3), min_size=nvars, max_size=nvars)))
     ]
     vector = st.tuples(*[st.integers(0, 3)] * nvars).filter(lambda v: sum(v) > 0)
-    members = list(dict.fromkeys(powers + draw(st.lists(vector, max_size=8 - nvars))))
+    members = list(dict.fromkeys(powers + draw(st.lists(vector, max_size=most - nvars))))
     assume(len(members) >= 3)
     return draw(st.permutations(members))
+
+
+@st.composite
+def frobenius_cases(draw):
+    """Member vectors and whether a search found them: a random primary
+    family of 3-12 members, or the Stable family of a small primary-only
+    search, since random draws are mostly Unstable."""
+    if draw(st.booleans()):
+        return draw(primary_families(most=12)), False
+    variables, degree = draw(st.integers(3, 4)), draw(st.integers(2, 4))
+    available = comb(variables - 1 + degree, variables - 1)
+    count = draw(st.integers(variables, min(8, available)))
+    spec = SearchSpec(variables, degree, count, budget=3000, require="stable", primary_only=True)
+    result = find_semistable_family(spec)
+    assume(result.family is not None)
+    return result.family.exponent_vectors(), True
+
+
+# For monomials the Frobenius pull-back of Syz(F) is Syz(F^[q]), whose
+# exponents are q times those of F: every subset slope scales by q, so the
+# verdict, its witness and the ordering of the candidates stay.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(frobenius_cases(), st.sampled_from([2, 3]))
+def test_frobenius_power_scales_every_slope(case, q):
+    vectors, searched = case
+    kind, w, whole, top, proper = reported_slopes(fam(*vectors))
+    assert kind is VerdictKind.STABLE or not searched
+    powered = fam(*(tuple(q * x for x in v) for v in vectors))
+    assert reported_slopes(powered) == (
+        kind,
+        w and (w[0], q * w[1]),
+        q * whole,
+        (top[0], q * top[1]),
+        (proper[0], q * proper[1]),
+    )
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb, isqrt, lcm
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from syzstab import _matrix, sections
@@ -262,6 +262,16 @@ def test_evaluation_matrix_matches_column_dict_oracle(case):
     assert evaluation_matrix(family, m) == column_dict_evaluation_matrix(family, m)
 
 
+def times_x0_minus_x1(*terms):
+    """(X_0 - X_1) g for the form g with the given (coefficient, exponents) terms."""
+    product = {}
+    for c, v in terms:
+        for sign, j in ((1, 0), (-1, 1)):
+            w = tuple(e + (i == j) for i, e in enumerate(v))
+            product[w] = product.get(w, 0) + sign * c
+    return poly(*((c, w) for w, c in product.items() if c))
+
+
 def macaulay_bound(family):
     """b = (N+1)(D-1)+1 for N+1 variables and largest member degree D."""
     return max(0, family[0].nvars * (max(p.degree for p in family) - 1) + 1)
@@ -271,41 +281,55 @@ def macaulay_bound(family):
 def families_near_the_macaulay_bound(draw):
     """1-4 members in 1-4 variables of mixed degrees, either single terms or
     forms of 1-3 terms with integer or rational coefficients; optionally the
-    pure powers of every variable (a primary family), a repeated member, or
-    every member vanishing at (1:...:1) (a common zero).  The twist lies in
-    b-1..b+3 for the Macaulay bound b.  Degrees shrink as variables grow, so
-    the direct nullity stays cheap."""
+    pure powers of every variable (a primary family), a repeated member,
+    every member vanishing at (1:...:1) (a common zero), every member also
+    free of the pure power of the first variable (two common zeros, the
+    second at (1:0:...:0)), or every member a multiple of X_0 - X_1 (a common
+    linear factor).  The twist lies in b-1..b+6 for the Macaulay bound b,
+    b-1..b+3 in 4 variables.  Degrees shrink as variables grow, so the
+    direct nullity stays cheap."""
     nvars = draw(st.integers(1, 4))
     top = (4, 3, 2, 2)[nvars - 1]
     coeff = st.one_of(
         st.integers(-5, 5).filter(bool),
         st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)),
     )
-    shape = draw(st.sampled_from(["monomial", "polynomial", "common-zero"]))
+    shapes = ["monomial", "polynomial", "common-zero"]
+    shape = draw(st.sampled_from(shapes + ["two-zeros", "linear-factor"] * (nvars > 1)))
+    vanishing = shape in ("common-zero", "two-zeros")
     family = []
     for _ in range(draw(st.integers(1, 4))):
-        vectors = list(degree_vectors(nvars, draw(st.integers(1, top))))
+        d = draw(st.integers(1, top))
+        if shape == "linear-factor":
+            # (X_0 - X_1) g for a form g of degree d - 1 with 1-3 terms
+            vectors = list(degree_vectors(nvars, d - 1))
+            chosen = draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=3, unique=True))
+            family.append(times_x0_minus_x1(*((draw(coeff), v) for v in chosen)))
+            continue
+        vectors = list(degree_vectors(nvars, d))
+        if shape == "two-zeros":
+            vectors = vectors[1:]  # drops X_0^d, the only term nonzero at (1:0:...:0)
         if shape == "monomial" or len(vectors) == 1:
             family.append(poly((draw(coeff), draw(st.sampled_from(vectors)))))
             continue
-        least = 2 if shape == "common-zero" else 1
+        least = 2 if vanishing else 1
         chosen = draw(st.lists(st.sampled_from(vectors), min_size=least, max_size=3, unique=True))
         terms = [(draw(coeff), v) for v in chosen]
-        if shape == "common-zero":
+        if vanishing:
             rest = sum(c for c, _ in terms[1:])
             if not rest:
                 terms[1] = (2 * terms[1][0], terms[1][1])
                 rest = sum(c for c, _ in terms[1:])
             terms[0] = (-rest, terms[0][1])
         family.append(poly(*terms))
-    if shape != "common-zero" and draw(st.booleans()):
+    if shape in ("monomial", "polynomial") and draw(st.booleans()):
         family += mono_polys(*(
             tuple(e if i == j else 0 for i in range(nvars))
             for j, e in enumerate(draw(st.lists(st.integers(1, top), min_size=nvars, max_size=nvars)))
         ))
     if draw(st.booleans()):
         family.append(draw(st.sampled_from(family)))
-    return family, macaulay_bound(family) + draw(st.integers(-1, 3))
+    return family, macaulay_bound(family) + draw(st.integers(-1, 6 if nvars < 4 else 3))
 
 
 def direct_nullity(family, twist):
@@ -322,9 +346,45 @@ def direct_nullity(family, twist):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(families_near_the_macaulay_bound())
 def test_section_dim_around_the_macaulay_bound_matches_direct_nullity(case):
-    # Above b the dimension is the excess once the map at b is onto; the
-    # nullity of the evaluation matrix computed by Bareiss is the oracle.
+    """Above b the dimension is the excess plus c = dim (R/I)_b once that
+    count persists to b + 1; the nullity of the evaluation matrix computed by
+    Bareiss is the oracle.
+
+    The test c <= b and the comparison at b + 1 are the hypotheses of
+    Gotzmann's persistence theorem, and both stay in ``syzygy_section_dim``
+    although no family drawn here trips either one alone: a copy of the rule
+    without the test c <= b, or without the comparison at b + 1, passes this
+    property too, while a copy that returns the excess without + c fails it.
+    """
     family, m = case
+    assert syzygy_section_dim(family, m) == direct_nullity(family, m)
+
+
+def quotient_dim(family, d):
+    """dim (R/I)_d for the ideal I of the members, with the rank from Bareiss."""
+    rows = evaluation_matrix(family, d)
+    return len(rows) - _bareiss_rank(rows)
+
+
+def branch_above(case):
+    """Which rule of ``syzygy_section_dim`` decides a twist m > b + 1."""
+    family, m = case
+    b = macaulay_bound(family)
+    if m <= b + 1:
+        return None
+    c = quotient_dim(family, b)
+    if c == 0:
+        return "onto"
+    return "persists" if c <= b and quotient_dim(family, b + 1) == c else "fallback"
+
+
+@pytest.mark.parametrize("branch", ["onto", "persists", "fallback"])
+def test_families_near_the_bound_reach_every_branch(branch):
+    family, m = find(
+        families_near_the_macaulay_bound(),
+        lambda case: branch_above(case) == branch,
+        settings=settings(max_examples=1000, derandomize=True, database=None, phases=[Phase.generate]),
+    )
     assert syzygy_section_dim(family, m) == direct_nullity(family, m)
 
 
@@ -355,19 +415,41 @@ def test_primary_quintics_rank_only_the_map_at_the_bound(monkeypatch):
     assert dim == direct_nullity(family, 22)
 
 
-def test_quintics_with_a_common_zero_fall_back_to_the_twist(monkeypatch):
-    # Every member vanishes at (1:1:1), so the map at b = 13 misses R_13 and
-    # the 276-row map at twist 22 is ranked as well.
+# Every member vanishes at (1:1:1), and nowhere else.
+ONE_POINT_QUINTICS = [
+    poly((1, (5, 0, 0)), (-1, (0, 5, 0))),
+    poly((1, (0, 5, 0)), (-1, (0, 0, 5)), (2, (2, 2, 1)), (-2, (1, 2, 2))),
+    poly((1, (3, 2, 0)), (-1, (0, 0, 5))),
+    poly((1, (1, 4, 0)), (-1, (2, 0, 3))),
+]
+
+
+def test_quintics_with_one_common_zero_persist_from_the_bound(monkeypatch):
+    # The maps at b = 13 (105 rows) and b + 1 (120 rows) both miss one
+    # dimension, so that count persists: twist 22 (276 rows) is the excess
+    # plus 1, and at twist 14 the second map is the one asked for.
+    for twist in (14, 22):
+        ranked = ranked_row_counts(monkeypatch)
+        dim = syzygy_section_dim(ONE_POINT_QUINTICS, twist)
+        assert ranked == [105, 120]
+        assert dim == 4 * comb(twist - 3, 2) - comb(twist + 2, 2) + 1
+        assert dim == direct_nullity(ONE_POINT_QUINTICS, twist)
+
+
+def test_quintics_with_a_common_linear_factor_fall_back_to_the_twist(monkeypatch):
+    # Multiples of X - Y vanish on a line: dim (R/I)_13 = 14 + dim (R/J)_12
+    # for the ideal J of the quartic cofactors, which is above b = 13, so the
+    # 276-row map at twist 22 is ranked after the one at b.
     family = [
-        poly((1, (5, 0, 0)), (-1, (0, 5, 0))),
-        poly((1, (0, 5, 0)), (-1, (0, 0, 5)), (2, (2, 2, 1)), (-2, (1, 2, 2))),
-        poly((1, (3, 2, 0)), (-1, (0, 0, 5))),
-        poly((1, (1, 4, 0)), (-1, (2, 0, 3))),
+        times_x0_minus_x1((1, (4, 0, 0)), (2, (0, 2, 2))),
+        times_x0_minus_x1((1, (0, 4, 0)), (-1, (0, 0, 4)), (1, (1, 1, 2))),
+        times_x0_minus_x1((1, (0, 0, 4)), (3, (2, 1, 1))),
+        times_x0_minus_x1((1, (3, 1, 0)), (-1, (1, 0, 3))),
     ]
     ranked = ranked_row_counts(monkeypatch)
     dim = syzygy_section_dim(family, 22)
     assert ranked == [105, 276]
-    assert dim > 4 * comb(19, 2) - comb(24, 2)
+    assert dim > 4 * comb(19, 2) - comb(24, 2) + 13
     assert dim == direct_nullity(family, 22)
 
 
