@@ -2,18 +2,26 @@
 package's one rank entry point, and rational input reaches it already scaled
 to integers by ``core._integer_terms``.
 
+A matrix is given as sparse rows, each a ``{column: nonzero entry}`` dict;
+the evaluation maps of ``sections`` are a few percent nonzero or less.  A
+column that is zero in every row takes no part: it adds nothing to the rank
+and gets no slot below.
+
 The rank is certified by reduction modulo a prime.  Reducing an integer matrix
-modulo a prime p cannot raise its rank, and no rank exceeds the matrix's
-smaller dimension, so
+modulo a prime p cannot raise its rank, and no rank exceeds the number of
+rows or of nonzero columns, so
 
-    rank mod p  <=  rank over Q  <=  min(rows, cols).
+    rank mod p  <=  rank over Q  <=  min(rows, nonzero columns).
 
-A modular rank equal to min(rows, cols) is therefore the exact rank.
+A modular rank equal to that minimum is therefore the exact rank.
 ``integer_rank`` eliminates once, modulo the prime ``PRIME`` = 2^30 - 35, on
-the matrix oriented to have no more rows than columns (transposed if needed).
+the matrix oriented to have no more rows than nonzero columns (a tall one is
+turned into its column dicts).
 
-Modulo ``PRIME`` each row is one integer with a 64-bit slot per column,
-column 0 in the top slot, and a row operation is one multiply-add on whole
+Modulo ``PRIME`` each row is one integer with a 64-bit slot per nonzero
+column, the first column in the top slot: the row's residues are written into
+a zeroed array at the slots of its own nonzeros, and the array's bytes are
+read as one integer.  A row operation is one multiply-add on whole
 integers: v = (v - s * 2^(64 k)) + (PRIME - g) * tail clears leading slot k
 (value s) against the residues of the pivot row leading in slot k, where
 g = s / (that row's leading entry) mod PRIME.  Each operation adds less than
@@ -23,19 +31,20 @@ v -> (v mod 2^30) + 35 * (v >> 30) slot by slot, twice, leaves every slot
 below 2^30 + 2^16 < 2 * PRIME, and one conditional subtraction of PRIME per
 slot makes the residues canonical.
 
-A rank rho mod ``PRIME`` below min(rows, cols) is certified from the same
+A rank rho mod ``PRIME`` below that minimum is certified from the same
 elimination.  Each of the rows - rho rows that reduced to zero yields a
 left-kernel vector mod p, y = e_i - sum c_r e_r over the pivot rows r, by
 back-substitution through the recorded row operations.  Its entries are
 lifted to rationals by rational reconstruction (Wang-Guy-Davenport) and
-y^T A = 0 is checked exactly over the integers.  Each y is 1 at its own
-dependent row and 0 at the others, so verified vectors are independent over
-Q and rank <= rho, while the modular rank gives rank >= rho.  Only when a
-lift or a check fails (kernel entries beyond the one-prime bound, or an
-unlucky prime whose modular rank is below the rank over Q) does
-fraction-free Gaussian elimination over the integers (single-step Bareiss)
-decide: every division is exact by the Sylvester determinant identity, so
-entries stay integers and never lose precision.
+y^T A = 0 is checked exactly over the integers, each column over its own
+nonzeros.  Each y is 1 at its own dependent row and 0 at the others, so
+verified vectors are independent over Q and rank <= rho, while the modular
+rank gives rank >= rho.  Only when a lift or a check fails (kernel entries
+beyond the one-prime bound, or an unlucky prime whose modular rank is below
+the rank over Q) does fraction-free Gaussian elimination over the integers
+(single-step Bareiss) decide, on the rows written out as dense lists over
+their nonzero columns: every division is exact by the Sylvester determinant
+identity, so entries stay integers and never lose precision.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ import sys
 from array import array
 from math import isqrt, lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 # The largest prime below 2^30; the certificate above holds for a prime only.
 PRIME = 1_073_741_789
@@ -65,29 +74,48 @@ assert PRIME < 1 << 30 and (1 << 31) + _FOLD_EVERY * (PRIME - 1) ** 2 < 1 << 64
 _Step = tuple[list[tuple[int, int]], int]
 
 
-def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Exact rank of an integer matrix.
+def integer_rank(rows: Sequence[Mapping[int, int]]) -> int:
+    """Exact rank of an integer matrix given as sparse rows, each a
+    ``{column: nonzero entry}`` dict.
 
     A full rank modulo ``PRIME`` is returned at once.  A deficient one is
     returned once a left-kernel certificate lifted from the same elimination
     checks exactly; otherwise fraction-free elimination decides.
     """
-    if not rows or not rows[0]:
+    ncols = len(set().union(*rows))
+    full = min(len(rows), ncols)
+    if not full:
         return 0
-    full = min(len(rows), len(rows[0]))
-    if len(rows) > len(rows[0]):
-        rows = list(zip(*rows))
+    if len(rows) > ncols:
+        columns = _columns(rows)
+        rows = [columns[j] for j in sorted(columns)]
     rank, steps = _rank_mod_p(rows, full)
     if rank == full or _kernel_certified(rows, steps):
         return rank
-    return _bareiss_rank(rows)
+    return _bareiss_rank(_dense(rows))
 
 
-def _rank_mod_p(rows: Sequence[Sequence[int]], full: int) -> tuple[int, list[_Step]]:
-    """Rank modulo ``PRIME``, stopping once it reaches ``full``, and the
-    row operations that found it, one ``_Step`` per row reduced.
+def _columns(rows: Sequence[Mapping[int, int]]) -> dict[int, dict[int, int]]:
+    """The nonzero columns of sparse rows, each a ``{row: entry}`` dict."""
+    columns: dict[int, dict[int, int]] = {}
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            columns.setdefault(j, {})[i] = x
+    return columns
 
-    Each row is packed into one integer (``_pack``), so its leading column
+
+def _slots(rows: Sequence[Mapping[int, int]]) -> dict[int, int]:
+    """Slot of each nonzero column, in column order; all-zero columns take none."""
+    return {j: s for s, j in enumerate(sorted(set().union(*rows)))}
+
+
+def _rank_mod_p(rows: Sequence[Mapping[int, int]], full: int) -> tuple[int, list[_Step]]:
+    """Rank modulo ``PRIME`` of sparse rows, stopping once it reaches
+    ``full``, and the row operations that found it, one ``_Step`` per row
+    reduced.
+
+    Each row is packed into one integer, its residues written into a zeroed
+    64-bit array at the slots of its nonzero columns, so its leading column
     is read off its bit length.  A row is reduced at its leading slot
     against the pivot row that leads there, if any, by one multiply-add on
     the whole integer.  A pivot row is kept as residues below ``PRIME``
@@ -95,10 +123,15 @@ def _rank_mod_p(rows: Sequence[Sequence[int]], full: int) -> tuple[int, list[_St
     multiplier recorded is the one of the pivot row scaled to a leading 1.
     """
     p = PRIME
-    ones = _pack([1] * len(rows[0]))
+    slots = _slots(rows)
+    width = len(slots)
+    # One 1 per slot: (2^(64 w) - 1) / (2^64 - 1) = sum of 2^(64 k), k < w.
+    ones = ((1 << 64 * width) - 1) // ((1 << 64) - 1)
     low30 = ones * ((1 << 30) - 1)
     low34 = ones * ((1 << 34) - 1)
     under = ones * 35
+    zeros = array("Q", bytes(8 * width))
+    swap = sys.byteorder == "little"
 
     def residues(v: int) -> int:
         # Two folds take each slot below 2^30 + 2^16 < 2 * PRIME, and PRIME
@@ -110,7 +143,14 @@ def _rank_mod_p(rows: Sequence[Sequence[int]], full: int) -> tuple[int, list[_St
     pivots: dict[int, tuple[int, int, int]] = {}
     steps: list[_Step] = []
     for row in rows:
-        v = _pack([x % p for x in row])
+        # The first nonzero column goes to the top slot, the first word of
+        # the big-endian bytes.
+        words = array("Q", zeros)
+        for j, x in row.items():
+            words[slots[j]] = x % p
+        if swap:
+            words.byteswap()
+        v = int.from_bytes(words, "big")
         mults = []
         ops = 0
         while v:
@@ -140,21 +180,12 @@ def _rank_mod_p(rows: Sequence[Sequence[int]], full: int) -> tuple[int, list[_St
     return len(pivots), steps
 
 
-def _pack(entries: list[int]) -> int:
-    """The integer with one 64-bit slot per entry (each below 2^64), the
-    first entry in the top slot."""
-    words = array("Q", entries)
-    if sys.byteorder == "little":
-        words.byteswap()
-    return int.from_bytes(words.tobytes(), "big")
-
-
-def _kernel_certified(rows: Sequence[Sequence[int]], steps: list[_Step]) -> bool:
+def _kernel_certified(rows: Sequence[Mapping[int, int]], steps: list[_Step]) -> bool:
     """Whether every row that reduced to zero mod ``PRIME`` lifts to a
     rational left-kernel vector y with y^T A = 0 exactly.
 
     All vectors are lifted before any is checked: a lift costs O(rows), a
-    check O(rows * cols).
+    check O(nonzeros), summing y over the nonzeros of each column.
     """
     pivot_rows = [i for i, (_, inv) in enumerate(steps) if inv]
     lifted = [
@@ -164,8 +195,10 @@ def _kernel_certified(rows: Sequence[Sequence[int]], steps: list[_Step]) -> bool
     ]
     if None in lifted:
         return False
-    columns = list(zip(*rows))
-    return not any(sum(map(mul, y, col)) for y in lifted for col in columns)
+    columns = _columns(rows).values()
+    return not any(
+        sum(map(mul, map(y.__getitem__, col), col.values())) for y in lifted for col in columns
+    )
 
 
 def _kernel_vector_mod_p(steps: list[_Step], pivot_rows: list[int], i: int) -> list[int]:
@@ -209,6 +242,16 @@ def _lift(residues: list[int]) -> Optional[list[int]]:
         fractions.append((r1, t1))
     denom = lcm(*(abs(t) for _, t in fractions))
     return [r * (denom // t) for r, t in fractions]
+
+
+def _dense(rows: Sequence[Mapping[int, int]]) -> list[list[int]]:
+    """Sparse rows as dense lists over their nonzero columns, in column order."""
+    slots = _slots(rows)
+    dense = [[0] * len(slots) for _ in rows]
+    for out, row in zip(dense, rows):
+        for j, x in row.items():
+            out[slots[j]] = x
+    return dense
 
 
 def _bareiss_rank(rows: Sequence[Sequence[int]]) -> int:

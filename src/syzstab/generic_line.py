@@ -132,7 +132,8 @@ def _rank_at(members: Sequence[list], d: int, line: LineMap) -> int:
     denominator (1 at every candidate), which scales each image by a constant."""
     s = lcm(*(x.denominator for x in line.u + line.v))
     u, v = ([int(x * s) for x in w] for w in (line.u, line.v))
-    return integer_rank([_binary_image(t, d, u, v) for t in members])
+    images = (_binary_image(t, d, u, v) for t in members)
+    return integer_rank([{k: c for k, c in enumerate(image) if c} for image in images])
 
 
 def _sample_line(rng: random.Random, nvars: int, span: int) -> LineMap:

@@ -8,11 +8,13 @@ its dimension is the nullity of the evaluation map
 
 computed here by counting distinct products when every member is a single
 term, and otherwise from the exact rank (``_matrix.integer_rank``) of its
-integer matrix, whose columns come from the members scaled to integer
-coefficients by ``core._integer_terms``.  A section at a twist where the
-sheaf degree is already negative spans a destabilizing line subsheaf;
-absence of sections below the slope bound certifies semistability for
-sheaves of rank 2 and (with a degree hypothesis) rank 3.
+integer matrix.  That matrix is built as sparse rows straight from the
+members' terms, scaled to integer coefficients by ``core._integer_terms``:
+column b*f_i holds one entry per term of f_i, so only nonzeros are written.
+A section at a twist where the sheaf degree is already negative spans a
+destabilizing line subsheaf; absence of sections below the slope bound
+certifies semistability for sheaves of rank 2 and (with a degree hypothesis)
+rank 3.
 
 Above the Macaulay bound b = (N+1)(D-1)+1 (N+1 variables, largest member
 degree D) at most two ranks decide every higher twist.  The nullity at m is
@@ -73,26 +75,28 @@ def monomial_basis(N: int, m: int) -> list[Monomial]:
     return [Monomial(v) for v in degree_vectors(N + 1, m)]
 
 
-def evaluation_matrix(family: FamilyLike, twist: int) -> list[list[int]]:
-    """Integer matrix of (a_i) |-> sum a_i f_i at the given twist.
+def evaluation_matrix(family: FamilyLike, twist: int) -> list[dict[int, int]]:
+    """Integer matrix of (a_i) |-> sum a_i f_i at the given twist, as sparse
+    rows: one ``{column: nonzero entry}`` dict per row.
 
     Rows are indexed by the degree-``twist`` monomials, columns by the basis
-    monomials of the component spaces R_{twist - d_i} in member order.  The
-    syzygy section dimension is its nullity.
+    monomials of the component spaces R_{twist - d_i} in member order.  Each
+    column b*f_i holds the integer-scaled coefficients of f_i at the rows of
+    the distinct products b*t of its terms t, so only nonzeros are written.
+    The syzygy section dimension is the number of columns minus its rank.
     """
     _require_int_twist(twist)
     polys, nvars = _as_polynomials(family)
     if twist < 0:
         return []
     row_index = {v: i for i, v in enumerate(degree_vectors(nvars, twist))}
-    bases = [list(degree_vectors(nvars, twist - p.degree)) for p in polys]
-    rows = [[0] * sum(map(len, bases)) for _ in row_index]
+    rows: list[dict[int, int]] = [{} for _ in row_index]
     j = 0
-    for poly, basis in zip(polys, bases):
+    for poly in polys:
         terms = _integer_terms(poly)
-        for b in basis:
+        for b in degree_vectors(nvars, twist - poly.degree):
             for coeff, t in terms:
-                rows[row_index[tuple(map(add, b, t))]][j] += coeff
+                rows[row_index[tuple(map(add, b, t))]][j] = coeff
             j += 1
     return rows
 
@@ -145,19 +149,15 @@ def _dim(nvars: int, m: int) -> int:
 
 def _map_rank(polys: list[Polynomial], nvars: int, twist: int) -> tuple[int, int]:
     """Number of columns and exact rank of the evaluation map at ``twist``."""
+    columns = sum(_dim(nvars, twist - p.degree) for p in polys)
     if all(len(p.terms) == 1 for p in polys):
-        columns = 0
-        products = set()
-        for poly in polys:
-            t = poly.terms[0][1].exponents
-            for b in degree_vectors(nvars, twist - poly.degree):
-                products.add(tuple(map(add, b, t)))
-                columns += 1
+        products = {
+            tuple(map(add, b, p.terms[0][1].exponents))
+            for p in polys
+            for b in degree_vectors(nvars, twist - p.degree)
+        }
         return columns, len(products)
-    rows = evaluation_matrix(polys, twist)
-    if not rows or not rows[0]:
-        return 0, 0
-    return len(rows[0]), integer_rank(rows)
+    return columns, integer_rank(evaluation_matrix(polys, twist))
 
 
 def min_section_degree_monomial(family: MonomialFamily) -> int:

@@ -1,7 +1,8 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb, isqrt, lcm, prod
+from unittest.mock import patch
 
 import pytest
 from hypothesis import Phase, assume, example, find, given, settings
@@ -27,6 +28,18 @@ def poly(*terms):
 
 def mono_polys(*vectors):
     return [poly((1, v)) for v in vectors]
+
+
+def sparse(rows):
+    """Dense rows as ``{column: nonzero entry}`` dicts, the input of ``integer_rank``."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def dense_evaluation_matrix(family, twist):
+    """``evaluation_matrix`` written out as dense rows over all its columns."""
+    N = family[0].nvars - 1
+    width = sum(len(monomial_basis(N, twist - p.degree)) for p in family)
+    return [[row.get(j, 0) for j in range(width)] for row in evaluation_matrix(family, twist)]
 
 
 # The mixed degree-10 form with a syzygy of degree 13 against the pure powers.
@@ -182,9 +195,7 @@ def test_term_count_matches_bareiss_nullity(case):
     # single-term members skip the matrix; the nullity of the evaluation
     # matrix computed by Bareiss is the independent slow path
     family, m = case
-    rows = evaluation_matrix(family, m)
-    expected = len(rows[0]) - _bareiss_rank(rows) if rows and rows[0] else 0
-    assert syzygy_section_dim(family, m) == expected
+    assert syzygy_section_dim(family, m) == direct_nullity(family, m)
 
 
 @st.composite
@@ -259,7 +270,8 @@ def polynomial_families(draw):
 @given(polynomial_families())
 def test_evaluation_matrix_matches_column_dict_oracle(case):
     family, m = case
-    assert evaluation_matrix(family, m) == column_dict_evaluation_matrix(family, m)
+    assert all(all(row.values()) for row in evaluation_matrix(family, m))
+    assert dense_evaluation_matrix(family, m) == column_dict_evaluation_matrix(family, m)
 
 
 def times_x0_minus_x1(*terms):
@@ -333,7 +345,7 @@ def families_near_the_macaulay_bound(draw):
 
 
 def direct_nullity(family, twist):
-    rows = evaluation_matrix(family, twist)
+    rows = dense_evaluation_matrix(family, twist)
     return len(rows[0]) - _bareiss_rank(rows) if rows and rows[0] else 0
 
 
@@ -362,7 +374,7 @@ def test_section_dim_around_the_macaulay_bound_matches_direct_nullity(case):
 
 def quotient_dim(family, d):
     """dim (R/I)_d for the ideal I of the members, with the rank from Bareiss."""
-    rows = evaluation_matrix(family, d)
+    rows = dense_evaluation_matrix(family, d)
     return len(rows) - _bareiss_rank(rows)
 
 
@@ -472,7 +484,7 @@ def test_rank_nullity_cross_check():
     for m in (11, 12, 13):
         rows = evaluation_matrix(family, m)
         comp = sum(len(monomial_basis(2, m - p.degree)) for p in family)
-        assert len(rows[0]) == comp
+        assert set().union(*rows) == set(range(comp))
         assert len(rows) == len(monomial_basis(2, m))
         rank = integer_rank(rows)
         assert syzygy_section_dim(family, m) + rank == comp
@@ -542,20 +554,20 @@ def test_rank3_needs_three_variables_exactly():
 
 
 def test_integer_rank_basics():
-    assert integer_rank([[1, 2], [2, 4]]) == 1
-    assert integer_rank([[1, 2], [3, 4]]) == 2
-    assert integer_rank([[0, 0], [0, 0]]) == 0
+    assert integer_rank(sparse([[1, 2], [2, 4]])) == 1
+    assert integer_rank(sparse([[1, 2], [3, 4]])) == 2
+    assert integer_rank(sparse([[0, 0], [0, 0]])) == 0
     assert integer_rank([]) == 0
     # rectangular with dependent columns
-    assert integer_rank([[1, 0, 1], [0, 1, 1]]) == 2
+    assert integer_rank(sparse([[1, 0, 1], [0, 1, 1]])) == 2
 
 
 def test_integer_rank_never_returns_a_deficient_modular_rank():
-    assert integer_rank([[2, 0], [0, 2]]) == 2  # rank 0 mod 2
-    assert integer_rank([[PRIME, 0], [0, 2]]) == 2  # rank 1 mod 2 and mod PRIME
-    assert integer_rank([[PRIME]]) == 1
-    assert integer_rank([[2 * PRIME]]) == 1  # rank 0 mod 2 and mod PRIME
-    assert integer_rank([[PRIME, 1], [0, 1]]) == 2  # rank 2 mod 2, rank 1 mod PRIME
+    assert integer_rank(sparse([[2, 0], [0, 2]])) == 2  # rank 0 mod 2
+    assert integer_rank(sparse([[PRIME, 0], [0, 2]])) == 2  # rank 1 mod 2 and mod PRIME
+    assert integer_rank(sparse([[PRIME]])) == 1
+    assert integer_rank(sparse([[2 * PRIME]])) == 1  # rank 0 mod 2 and mod PRIME
+    assert integer_rank(sparse([[PRIME, 1], [0, 1]])) == 2  # rank 2 mod 2, rank 1 mod PRIME
 
 
 def test_modulus_is_prime():
@@ -600,7 +612,75 @@ def integer_matrices(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(integer_matrices())
 def test_integer_rank_matches_bareiss(rows):
-    assert integer_rank(rows) == _bareiss_rank(rows)
+    assert integer_rank(sparse(rows)) == _bareiss_rank(rows)
+
+
+@st.composite
+def forms_through_ones(draw):
+    """Two quadrics in 3 variables, each a sum of three terms c (X^a - X^b)
+    with c in +-1, +-2, so both vanish at (1:1:1), and a twist in 6..9.
+    There their maps are deficient, and many have a left-kernel vector
+    beyond the one-prime lift bound, so Bareiss decides."""
+    quadrics = list(degree_vectors(3, 2))
+    family = []
+    for _ in range(2):
+        terms = {}
+        for _ in range(3):
+            a, b = draw(st.lists(st.sampled_from(quadrics), min_size=2, max_size=2, unique=True))
+            c = draw(st.sampled_from([-2, -1, 1, 2]))
+            terms[a], terms[b] = terms.get(a, 0) + c, terms.get(b, 0) - c
+        terms = [(c, v) for v, c in terms.items() if c]
+        assume(terms)
+        family.append(poly(*terms))
+    return family, draw(st.integers(6, 9))
+
+
+@st.composite
+def sparse_maps(draw):
+    """Sparse rows and their dense form: a matrix of ``integer_matrices``
+    (tall and wide, negative entries, multiples of PRIME, entries beyond 64
+    bits) with rows repeated or added as combinations of two rows, with
+    multipliers past the lift bound isqrt(PRIME // 2) or PRIME added in one
+    column, empty rows and all-zero columns put in, and the rows shuffled;
+    or, one time in four, the evaluation map of ``forms_through_ones``."""
+    if draw(st.integers(0, 3)) == 0:
+        family, m = draw(forms_through_ones())
+        return evaluation_matrix(family, m), dense_evaluation_matrix(family, m)
+    dense = draw(integer_matrices())
+    width = len(dense[0]) if dense else 0
+    multiplier = st.sampled_from([0, 1, -1, 2, 10**6, -(10**6) - 1])
+    for _ in range(draw(st.integers(0, 3)) if dense else 0):
+        a, b = draw(st.sampled_from(dense)), draw(st.sampled_from(dense))
+        s, t = draw(multiplier), draw(multiplier)
+        row = [s * x + t * y for x, y in zip(a, b)]
+        if width and draw(st.booleans()):
+            # dependent mod PRIME only, off by PRIME in one column
+            row[draw(st.integers(0, width - 1))] += PRIME
+        dense.append(row)
+    dense += [[0] * width for _ in range(draw(st.integers(0, 2)))]
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(0, width))
+        dense = [row[:j] + [0] + row[j:] for row in dense]
+        width += 1
+    dense = draw(st.permutations(dense))
+    return sparse(dense), dense
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(sparse_maps())
+def test_integer_rank_of_sparse_rows_matches_bareiss_of_dense_rows(case):
+    rows, dense = case
+    with patch.object(_matrix, "_kernel_certified", wraps=_matrix._kernel_certified) as certified:
+        rank = integer_rank(rows)
+    assert rank == _bareiss_rank(dense)
+    # A rank equal to min(rows, nonzero columns) whose minors are all below
+    # PRIME (Hadamard: each is at most the product of its rows' norms) is
+    # also the rank mod PRIME, so it returns without a certificate; all-zero
+    # columns count for nothing.
+    full = min(len(rows), len(set().union(*rows)))
+    norms = sorted((sum(x * x for x in row.values()) for row in rows), reverse=True)
+    if rank == full and prod(norms[:full]) < PRIME**2:
+        assert not certified.called
 
 
 def count_bareiss_runs(monkeypatch) -> list:
@@ -640,7 +720,7 @@ def test_deficient_rank_is_certified_in_both_orientations(monkeypatch):
     wide = thin_product(6, 11, 3, seed=5)
     tall = [list(col) for col in zip(*wide)]
     assert _bareiss_rank(wide) == 3
-    assert integer_rank(wide) == integer_rank(tall) == 3
+    assert integer_rank(sparse(wide)) == integer_rank(sparse(tall)) == 3
     assert runs == []
 
 
@@ -649,7 +729,7 @@ def test_kernel_entries_beyond_the_lift_bound_fall_back_to_bareiss(monkeypatch):
     # lift of -N mod PRIME checks and Bareiss decides
     runs = count_bareiss_runs(monkeypatch)
     N = 10**6
-    assert integer_rank([[1, 2, 3], [N, 2 * N, 3 * N]]) == 1
+    assert integer_rank(sparse([[1, 2, 3], [N, 2 * N, 3 * N]])) == 1
     assert len(runs) == 1
 
 
@@ -657,7 +737,7 @@ def test_unlucky_prime_falls_back_to_bareiss(monkeypatch):
     # the first row vanishes mod PRIME (and the second mod 2), so both modular
     # ranks are 1; the would-be kernel vector (1, 0) fails the exact check
     runs = count_bareiss_runs(monkeypatch)
-    assert integer_rank([[PRIME, 2 * PRIME, 0], [0, 0, 2]]) == 2
+    assert integer_rank(sparse([[PRIME, 2 * PRIME, 0], [0, 0, 2]])) == 2
     assert len(runs) == 1
 
 
