@@ -6,11 +6,22 @@ its dimension is the nullity of the evaluation map
 
     (+) R_{m - d_i}  ->  R_m,    (a_i) |-> sum a_i f_i,
 
-computed here by counting distinct products when every member is a single
-term, and otherwise from the exact rank (``_matrix.integer_rank``) of its
-integer matrix.  That matrix is built as sparse rows straight from the
-members' terms, scaled to integer coefficients by ``core._integer_terms``:
-column b*f_i holds one entry per term of f_i, so only nonzeros are written.
+computed here from the Hilbert series of the members' ideal when every
+member is a single term, and otherwise from the exact rank
+(``_matrix.integer_rank``) of its integer matrix.
+
+For monomial members the image of the map is I_m, the degree-m part of the
+monomial ideal I they generate, so the rank is dim R_m - dim (R/I)_m, and
+dim (R/I)_m = sum_k K_k dim R_{m-k} for the numerator K(t) of the Hilbert
+series K(t) / (1 - t)^(N+1) of R/I.  ``_hilbert_numerator`` computes K by a
+pivot recursion (D. Bayer and M. Stillman, J. Symbolic Comput. 14, 1992;
+A. M. Bigatti, J. Pure Appl. Algebra 119, 1997), so no basis of R_m is
+built and the cost does not grow with m.
+
+The polynomial matrix is built as sparse rows straight from the members'
+terms, scaled to integer coefficients by ``core._integer_terms``: column
+b*f_i holds one entry per term of f_i, so only nonzeros are written.
+
 A section at a twist where the sheaf degree is already negative spans a
 destabilizing line subsheaf; absence of sections below the slope bound
 certifies semistability for sheaves of rank 2 and (with a degree hypothesis)
@@ -37,8 +48,9 @@ with a curve of common zeros, is ranked at the twist.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
-from operator import add
+from operator import add, le
 from typing import Optional
 
 from ._matrix import integer_rank
@@ -55,7 +67,6 @@ from .core import (
     _integer_terms,
     _pure_powers,
     _vector_gcd,
-    join,
 )
 from .monomial_stability import degree_vectors
 
@@ -105,13 +116,13 @@ def syzygy_section_dim(family: FamilyLike, twist: int) -> int:
     """Dimension of the space of degree-``twist`` syzygies of the family.
 
     The dimension is the number of columns minus the exact rank of the
-    evaluation matrix.  When every member is a single term, each column has
-    exactly one nonzero entry, so the rank is the number of distinct products
-    b*t of a component basis monomial b with its member's term t, counted
-    without building the matrix.  Otherwise ``integer_rank`` decides: a full
-    rank mod ``_matrix.PRIME`` is exact, a deficient one is exact once a
-    lifted left-kernel certificate checks over the integers, and Bareiss
-    elimination runs only when that check fails.
+    evaluation matrix.  When every member is a single term, the image is the
+    degree-``twist`` part of the monomial ideal of the members, and its
+    dimension is read off the Hilbert numerator of that ideal (module
+    docstring), without building the matrix.  Otherwise ``integer_rank``
+    decides: a full rank mod ``_matrix.PRIME`` is exact, a deficient one is
+    exact once a lifted left-kernel certificate checks over the integers,
+    and Bareiss elimination runs only when that check fails.
 
     Above the Macaulay bound b = (N+1)(D-1)+1 (largest member degree D) the
     map at b is ranked first; it misses c = dim R_b - rank dimensions.  With
@@ -148,16 +159,69 @@ def _dim(nvars: int, m: int) -> int:
 
 
 def _map_rank(polys: list[Polynomial], nvars: int, twist: int) -> tuple[int, int]:
-    """Number of columns and exact rank of the evaluation map at ``twist``."""
+    """Number of columns and exact rank of the evaluation map at ``twist``.
+
+    Single-term members are ranked by the Hilbert numerator of their ideal
+    (module docstring).  Members of degree above the twist add nothing to
+    the image, so they are left out of the ideal, which keeps every degree
+    in the recursion at most the twist.
+    """
     columns = sum(_dim(nvars, twist - p.degree) for p in polys)
     if all(len(p.terms) == 1 for p in polys):
-        products = {
-            tuple(map(add, b, p.terms[0][1].exponents))
-            for p in polys
-            for b in degree_vectors(nvars, twist - p.degree)
-        }
-        return columns, len(products)
+        numerator = _hilbert_numerator(
+            [p.terms[0][1].exponents for p in polys if p.degree <= twist]
+        )
+        quotient = sum(c * _dim(nvars, twist - k) for k, c in numerator.items())
+        return columns, _dim(nvars, twist) - quotient
     return columns, integer_rank(evaluation_matrix(polys, twist))
+
+
+def _hilbert_numerator(vectors: list[tuple[int, ...]]) -> dict[int, int]:
+    """The numerator K(t) of the Hilbert series K(t) / (1 - t)^n of R/I, as
+    ``{degree: coefficient}``, for the ideal I of the monomials with these
+    exponent vectors in n variables (no vectors: I = 0 and K = 1).
+
+    Each step keeps the minimal generators of its ideal.  When they are
+    pairwise coprime (they share no variable), K is the product of the
+    factors 1 - t^deg g, as for a complete intersection.  Otherwise x_j,
+    the variable that the most generators contain, lies in some minimal
+    generator g together with another variable; with e the least such
+    exponent of x_j, x_j^e is not in I (a generator dividing it would divide
+    g properly), and the exact sequence
+
+        0 -> R/(I : x_j^e)(-e) -> R/I -> R/(I + (x_j^e)) -> 0
+
+    gives K(I) = K(I + (x_j^e)) + t^e K(I : x_j^e).  The recursion ends:
+    in both branches the sum of the degrees of the minimal generators
+    drops, since g gives way to x_j^e in I + (x_j^e) and to g / x_j^e in
+    I : x_j^e, and no generator grows.  The branches wait on a stack, so
+    depth costs no Python recursion.
+    """
+    numerator: dict[int, int] = {}
+    stack = [(vectors, 0)]
+    while stack:
+        generators, shift = stack.pop()
+        minimal: list[tuple[int, ...]] = []
+        for v in sorted(set(generators), key=sum):
+            if not any(all(map(le, w, v)) for w in minimal):
+                minimal.append(v)
+        counts = [len(column) - column.count(0) for column in zip(*minimal)]
+        top = max(counts, default=0)
+        if top < 2:
+            product = {shift: 1}
+            for g in minimal:
+                d = sum(g)
+                for k, c in list(product.items()):
+                    product[k + d] = product.get(k + d, 0) - c
+            for k, c in product.items():
+                numerator[k] = numerator.get(k, 0) + c
+            continue
+        j = counts.index(top)
+        e = min(g[j] for g in minimal if 0 < g[j] < sum(g))
+        power = tuple(e if i == j else 0 for i in range(len(counts)))
+        stack.append((minimal + [power], shift))
+        stack.append(([g[:j] + (max(g[j] - e, 0),) + g[j + 1:] for g in minimal], shift + e))
+    return numerator
 
 
 def min_section_degree_monomial(family: MonomialFamily) -> int:
@@ -167,15 +231,7 @@ def min_section_degree_monomial(family: MonomialFamily) -> int:
     relations (lcm/f_i) f_i - (lcm/f_j) f_j, so the minimum is the smallest
     pairwise lcm degree.
     """
-    members = family.members
-    best = None
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            d = join(members[i], members[j]).degree()
-            if best is None or d < best:
-                best = d
-    assert best is not None
-    return best
+    return min(sum(map(max, a, b)) for a, b in combinations(family.exponent_vectors(), 2))
 
 
 def _reject_common_monomial_factor(polys: list[Polynomial], criterion: str) -> None:

@@ -6,12 +6,13 @@ import re
 import shlex
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import syzstab
-from syzstab import monomial_stability
+from syzstab import monomial_stability, sections
 from syzstab.cli import normalize_document, parse_monomial_text, run
 from syzstab.core import MAX_VARIABLES
 from syzstab.monomial_stability import degree_vectors
@@ -225,6 +226,28 @@ def test_sections_command():
     result = json.loads(out)["result"]
     assert result["section_dim"] == 1
     assert result["min_section_degree"] == 4
+
+
+def test_sections_of_monomials_with_a_plane_of_common_zeros(monkeypatch):
+    # X0^3, X0*X1, X1^4 in 5 variables vanish on the plane X0 = X1 = 0, so
+    # dim (R/I)_m grows with m and twist 200 is decided at the twist itself.
+    # R/I = k[x0, x1]/(x0^3, x0*x1, x1^4) (x) k[x2, x3, x4] has h-vector
+    # (1, 2, 2, 1), so the count is checked by hand.  No basis of a degree
+    # above 20 may be enumerated on the way.
+    real = sections.degree_vectors
+
+    def small(nvars, degree):
+        if degree > 20:
+            raise AssertionError(f"enumerated the degree-{degree} monomials")
+        return real(nvars, degree)
+
+    monkeypatch.setattr(sections, "degree_vectors", small)
+    rc, out = capture(["sections", "--monomials", "X0^3,X0*X1,X1^4", "--vars", "5", "--twist", "200"])
+    quotient = sum(h * comb(202 - i, 2) for i, h in enumerate((1, 2, 2, 1)))
+    excess = comb(201, 4) + comb(202, 4) + comb(200, 4) - comb(204, 4)
+    assert excess + quotient == 128076201
+    assert rc == 0
+    assert out.splitlines()[0] == "section dimension at twist 200: 128076201"
 
 
 def test_lowrank_command():

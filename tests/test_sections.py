@@ -9,7 +9,14 @@ from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from syzstab import _matrix, sections
-from syzstab.core import Monomial, MonomialFamily, Polynomial, PreconditionError, VerdictKind
+from syzstab.core import (
+    Monomial,
+    MonomialFamily,
+    Polynomial,
+    PreconditionError,
+    VerdictKind,
+    is_primary,
+)
 from syzstab.monomial_stability import degree_vectors, verdict
 from syzstab.sections import (
     evaluation_matrix,
@@ -198,6 +205,95 @@ def test_term_count_matches_bareiss_nullity(case):
     assert syzygy_section_dim(family, m) == direct_nullity(family, m)
 
 
+def product_count_nullity(family, twist):
+    """Oracle for single-term families: each column b*t of the evaluation map
+    has one nonzero entry, at the row of the product b*t, so the rank is the
+    number of distinct products of a component basis monomial b with its
+    member's term t."""
+    nvars = family[0].nvars
+    products = {
+        tuple(x + y for x, y in zip(b, p.terms[0][1].exponents))
+        for p in family
+        for b in degree_vectors(nvars, twist - p.degree)
+    }
+    columns = sum(len(monomial_basis(nvars - 1, twist - p.degree)) for p in family)
+    return columns - len(products)
+
+
+@st.composite
+def monomial_families_around_the_bound(draw):
+    """1-4 single-term members in 1-5 variables with nonzero integer or
+    rational coefficients, sometimes with the pure powers of every variable
+    (a primary family), a constant member or a repeated member added, and a
+    twist anywhere from 0 to three above the Macaulay bound b.  Degrees
+    shrink as variables grow, so the product count stays cheap."""
+    nvars = draw(st.integers(1, 5))
+    top = (5, 5, 4, 3, 2)[nvars - 1]
+    coeff = st.one_of(
+        st.integers(-5, 5).filter(bool),
+        st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)),
+    )
+    vector = st.integers(1, top).flatmap(lambda d: st.sampled_from(list(degree_vectors(nvars, d))))
+    family = [poly((draw(coeff), v)) for v in draw(st.lists(vector, min_size=1, max_size=4))]
+    if draw(st.booleans()):
+        family += [
+            poly((draw(coeff), tuple(e if i == j else 0 for i in range(nvars))))
+            for j, e in enumerate(draw(st.lists(st.integers(1, top), min_size=nvars, max_size=nvars)))
+        ]
+    if draw(st.integers(0, 5)) == 0:
+        family.append(poly((draw(coeff), (0,) * nvars)))
+    if draw(st.booleans()):
+        family.append(draw(st.sampled_from(family)))
+    family = draw(st.permutations(family))
+    b = macaulay_bound(family)
+    return family, draw(st.one_of(st.integers(0, b), st.integers(b - 1, b + 3).filter(lambda m: m >= 0)))
+
+
+# X^2, X*Y, Y^2 in 3 variables: twists b = 4 and b + 1 count the point
+# (0:0:1) three times; a constant member makes the map onto at every twist.
+@example(([poly((1, (2, 0, 0))), poly((1, (1, 1, 0))), poly((1, (0, 2, 0)))], 6))
+@example(([poly((1, (0, 0))), poly((Fraction(1, 2), (1, 1)))], 2))
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(monomial_families_around_the_bound())
+def test_section_dim_of_single_terms_matches_the_product_count(case):
+    family, m = case
+    assert syzygy_section_dim(family, m) == product_count_nullity(family, m)
+
+
+def divides_one_minus_t_power(numerator, k):
+    """Whether (1 - t)^k divides the polynomial ``{degree: coefficient}``."""
+    coeffs = [numerator.get(i, 0) for i in range(max(numerator, default=0) + 1)]
+    for _ in range(k):
+        if sum(coeffs):
+            return False
+        coeffs = list(itertools.accumulate(coeffs))[:-1]  # the quotient by 1 - t
+    return True
+
+
+@st.composite
+def monomial_families(draw):
+    """2-6 distinct nonconstant monomials in 1-5 variables, half of the time
+    with pure powers of some variables added (all of them, a primary family,
+    in half of those)."""
+    nvars = draw(st.integers(1, 5))
+    vector = st.tuples(*[st.integers(0, 3)] * nvars).filter(any)
+    vectors = set(draw(st.lists(vector, min_size=1, max_size=5)))
+    if draw(st.booleans()):
+        chosen = range(nvars) if draw(st.booleans()) else draw(st.sets(st.integers(0, nvars - 1)))
+        vectors |= {tuple(draw(st.integers(1, 3)) if i == j else 0 for i in range(nvars)) for j in chosen}
+    assume(len(vectors) >= 2)
+    return MonomialFamily.from_exponents(draw(st.permutations(sorted(vectors))), nvars)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(monomial_families())
+def test_hilbert_numerator_has_the_full_power_of_one_minus_t_when_primary(family):
+    # R/I has finite length exactly when I is primary to the irrelevant
+    # ideal, and then the Hilbert series K(t) / (1 - t)^(N+1) is a polynomial
+    numerator = sections._hilbert_numerator(list(family.exponent_vectors()))
+    assert divides_one_minus_t_power(numerator, family.variables) == is_primary(family)
+
+
 @st.composite
 def primary_lowrank_families(draw):
     """Pure powers of X, Y, Z, plus one other distinct nonconstant monomial
@@ -215,7 +311,7 @@ def primary_lowrank_families(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(primary_lowrank_families())
 def test_lowrank_verdicts_agree_with_the_subset_engine(vectors):
-    # two independent engines: section scans (through the term count) and
+    # two independent engines: section scans (through the Hilbert numerator) and
     # the subset-slope criterion on the same primary monomial family
     lowrank = (rank2_verdict if len(vectors) == 3 else rank3_verdict)(*mono_polys(*vectors))
     assume(lowrank.kind != VerdictKind.INCONCLUSIVE)
