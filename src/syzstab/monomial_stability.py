@@ -31,6 +31,21 @@ S(g, k) is itself a maximizer.  Among the k-subsets of multiples of g with
 least degree sum, S(g, k) has the smallest index tuple, so the best candidate
 is the witness.  Restricting to k < n gives the proper extremum.
 The meet-closure is far smaller than 2^n in practice.
+
+The scan reads S(g, k) off bitsets.  The members are ranked once by
+(degree, index), and bit r of a mask stands for the member of rank r.  For
+each variable j and each exponent e that some member has there, ``masks[j][e]``
+is the mask of the members whose j-th exponent is at least e (a suffix OR
+over the sorted distinct values).  Meets take minima, so every coordinate g_j
+of a closure element is some member's exponent and has a mask, and the
+multiples of g are the AND of ``masks[j][g_j]`` over j.  Its set bits come in
+rank order, so S(g, k) is its k lowest set bits: one walk up the bits lowers
+the excess deg g - (sum of degrees) by one member at a time.  The masks are
+dicts keyed by exponent, not lists, so exponents far past any list size cost
+nothing.  A key (value, -k) is compared with the best so far by integer
+cross-multiplication (every k - 1 is positive), and the index tuple is built
+only for a candidate that ties or wins; the final proper-versus-whole test is
+an integer comparison too.
 """
 
 from __future__ import annotations
@@ -88,10 +103,6 @@ def family_slope(family: MonomialFamily, twist: int = 0) -> Fraction:
 
 def _vmeet(a: Vec, b: Vec) -> Vec:
     return tuple(x if x < y else y for x, y in zip(a, b))
-
-
-def _divides(a: Vec, b: Vec) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 def _meet_closure(vectors: Sequence[Vec]) -> list[Vec]:
@@ -298,25 +309,51 @@ def _brute_extrema(
 def _pruned_extrema(
     vectors: Sequence[Vec], degrees: Sequence[int]
 ) -> tuple[tuple[int, ...], Optional[tuple[int, ...]]]:
-    """Witness indices of both extrema from one scan of the meet closure."""
+    """Witness indices of both extrema from one scan of the meet closure.
+
+    Bit r of a mask stands for the member of rank r in (degree, index)
+    order, and ``masks[j][e]`` is the mask of the members whose j-th exponent
+    is at least e, so the multiples of g are one AND (module docstring).  The
+    best proper candidate so far is S(g, den + 1) of value num/den, with
+    index tuple ``indices``; ``den`` is 0 until there is one.
+    """
     n = len(vectors)
-    best = None  # ((slope, -size), indices) of the best proper candidate
+    order = sorted(range(n), key=lambda i: (degrees[i], i))
+    ranked = [degrees[i] for i in order]
+    masks = []
+    for column in zip(*(vectors[i] for i in order)):
+        at_least: dict[int, int] = {}
+        for r, e in enumerate(column):
+            at_least[e] = at_least.get(e, 0) | 1 << r
+        acc = 0
+        for e in sorted(at_least, reverse=True):  # suffix OR
+            acc = at_least[e] = acc | at_least[e]
+        masks.append(at_least)
+    num = den = 0
+    indices: tuple[int, ...] = ()
     for g in _meet_closure(vectors):
-        ranked = sorted((degrees[i], i) for i in range(n) if _divides(g, vectors[i]))
-        excess = sum(g) - ranked[0][0]
-        for k in range(2, min(len(ranked), n - 1) + 1):
-            excess -= ranked[k - 1][0]
-            key = (Fraction(excess, k - 1), -k)
-            if best is None or key >= best[0]:
-                indices = tuple(sorted(i for _, i in ranked[:k]))
-                if best is None or key > best[0] or indices < best[1]:
-                    best = (key, indices)
+        multiples = reduce(int.__and__, map(dict.__getitem__, masks, g))
+        rest = multiples & (multiples - 1)  # all but the lowest rank
+        excess = sum(g) - ranked[(multiples ^ rest).bit_length() - 1]
+        for k in range(2, n):
+            if not rest:
+                break
+            low = rest & -rest
+            rest ^= low
+            excess -= ranked[low.bit_length() - 1]
+            lhs, rhs = excess * den, num * (k - 1)
+            if den and (lhs < rhs or lhs == rhs and k - 1 > den):
+                continue
+            chosen = multiples & ((low << 1) - 1)  # the ranks of S(g, k)
+            ranks = (r for r in range(chosen.bit_length()) if chosen >> r & 1)
+            candidate = tuple(sorted(order[r] for r in ranks))
+            if not den or lhs > rhs or k - 1 < den or candidate < indices:
+                num, den, indices = excess, k - 1, candidate
     everything = tuple(range(n))
-    if best is None:
+    if not den:
         return everything, None
-    (proper, _), proper_indices = best
-    whole = Fraction(sum(_vector_gcd(vectors)) - sum(degrees), n - 1)
-    return (proper_indices if proper >= whole else everything), proper_indices
+    whole = sum(_vector_gcd(vectors)) - sum(degrees)
+    return (indices if num * (n - 1) >= whole * den else everything), indices
 
 
 def _summary(family: MonomialFamily, brute: bool) -> MaxSlopeResult:

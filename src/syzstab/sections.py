@@ -27,12 +27,14 @@ destabilizing line subsheaf; absence of sections below the slope bound
 certifies semistability for sheaves of rank 2 and (with a degree hypothesis)
 rank 3.
 
-Above the Macaulay bound b = (N+1)(D-1)+1 (N+1 variables, largest member
-degree D) at most two ranks decide every higher twist.  The nullity at m is
-the excess sum dim R_{m-d_i} - dim R_m plus c_m = dim (R/I)_m, the Hilbert
-function of the ideal I of the members, and c_m is read off the maps at b and
-b + 1.  If c_b = 0, that is I_b = R_b, then I_m contains R_{m-b} I_b = R_m
-for every m >= b.  Every primary family has c_b = 0: its ideal contains N+1
+When some member has several terms, at most two ranks decide every twist
+above the Macaulay bound b = (N+1)(D-1)+1 (N+1 variables, largest member
+degree D); single-term families need no such rule, as one Hilbert numerator
+at the twist costs the same as one at b.  The nullity at m is the excess
+sum dim R_{m-d_i} - dim R_m plus c_m = dim (R/I)_m, the Hilbert function of
+the ideal I of the members, and c_m is read off the maps at b and b + 1.
+If c_b = 0, that is I_b = R_b, then I_m contains R_{m-b} I_b = R_m for
+every m >= b.  Every primary family has c_b = 0: its ideal contains N+1
 general forms of I_D, a regular sequence of degree-D forms, and the complete
 intersection they generate contains every form of degree above (N+1)(D-1).
 If 0 < c_b <= b and c_{b+1} = c_b, then c_m = c_b for every m >= b by
@@ -124,22 +126,25 @@ def syzygy_section_dim(family: FamilyLike, twist: int) -> int:
     exact once a lifted left-kernel certificate checks over the integers,
     and Bareiss elimination runs only when that check fails.
 
-    Above the Macaulay bound b = (N+1)(D-1)+1 (largest member degree D) the
-    map at b is ranked first; it misses c = dim R_b - rank dimensions.  With
-    c = 0 the map is onto at every twist m >= b, and the dimension is the
-    excess sum dim R_{m-d_i} - dim R_m with no map built at m.  With
-    0 < c <= b the map at b + 1 is ranked too: at m = b + 1 its nullity is
-    the answer, and when it misses c dimensions again the count c persists
-    to every higher twist (Gotzmann, module docstring), so the dimension is
-    the excess plus c.  Primary families take the first branch; a family
-    with at most b common zeros, counted with multiplicity, takes the second
-    once its count has settled by b; any other family falls back to the rank
-    at the twist.
+    When some member has several terms, above the Macaulay bound
+    b = (N+1)(D-1)+1 (largest member degree D) the map at b is ranked first;
+    it misses c = dim R_b - rank dimensions.  With c = 0 the map is onto at
+    every twist m >= b, and the dimension is the excess sum
+    dim R_{m-d_i} - dim R_m with no map built at m.  With 0 < c <= b the map
+    at b + 1 is ranked too: at m = b + 1 its nullity is the answer, and when
+    it misses c dimensions again the count c persists to every higher twist
+    (Gotzmann, module docstring), so the dimension is the excess plus c.
+    Primary families take the first branch; a family with at most b common
+    zeros, counted with multiplicity, takes the second once its count has
+    settled by b; any other family falls back to the rank at the twist.  A
+    single-term family is ranked at the twist directly: its Hilbert
+    numerator answers any twist, so the maps at b and b + 1 would only
+    compute it again.
     """
     _require_int_twist(twist)
     polys, nvars = _as_polynomials(family)
     bound = max(0, nvars * (max(p.degree for p in polys) - 1) + 1)
-    if twist > bound:
+    if twist > bound and any(len(p.terms) > 1 for p in polys):
         gap = _dim(nvars, bound) - _map_rank(polys, nvars, bound)[1]
         persists = gap == 0
         if 0 < gap <= bound:

@@ -14,11 +14,11 @@ from syzstab.core import (
     PreconditionError,
     SubsetWitness,
     VerdictKind,
+    _vector_gcd,
     is_primary,
 )
 from syzstab.monomial_stability import (
     _brute_extrema,
-    _divides,
     _meet_closure,
     _pruned_extrema,
     all_monomials_family,
@@ -158,6 +158,78 @@ def test_pruned_extrema_match_brute_force(vectors):
 
     assert slopes(fast) == slopes(slow)
     assert fast == slow
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _divisibility_extrema(vectors, degrees):
+    """Former meet-closure scan, the oracle of families past the brute-force
+    ceiling: the multiples of each closure element g by a divisibility test
+    per member, sorted by (degree, index), and one ``Fraction`` per candidate."""
+    n = len(vectors)
+    best = None  # ((slope, -size), indices) of the best proper candidate
+    for g in _meet_closure(vectors):
+        ranked = sorted((degrees[i], i) for i in range(n) if _divides(g, vectors[i]))
+        excess = sum(g) - ranked[0][0]
+        for k in range(2, min(len(ranked), n - 1) + 1):
+            excess -= ranked[k - 1][0]
+            key = (Fraction(excess, k - 1), -k)
+            if best is None or key >= best[0]:
+                indices = tuple(sorted(i for _, i in ranked[:k]))
+                if best is None or key > best[0] or indices < best[1]:
+                    best = (key, indices)
+    everything = tuple(range(n))
+    if best is None:
+        return everything, None
+    (proper, _), proper_indices = best
+    whole = Fraction(sum(_vector_gcd(vectors)) - sum(degrees), n - 1)
+    return (proper_indices if proper >= whole else everything), proper_indices
+
+
+HUGE = 10**400
+
+
+@st.composite
+def large_exponent_families(draw):
+    """21-100 distinct members in 2-4 variables, past the brute-force ceiling.
+
+    Each variable takes its exponents from a pool of a few values, in half
+    the families some of them near 10**400, so exponent values repeat,
+    degrees tie and the meet closure stays within the pools' grid.  Up to
+    100 members, so masks of more than 64 members span several machine words.
+    """
+    nvars = draw(st.integers(2, 4))
+    least, most = {2: (5, 10), 3: (3, 5), 4: (3, 4)}[nvars]
+    value = st.integers(0, 6)
+    if draw(st.booleans()):
+        value |= st.integers(HUGE - 2, HUGE + 2)
+    pools = [
+        draw(st.lists(value, min_size=least, max_size=most, unique=True)) for _ in range(nvars)
+    ]
+    grid = [v for v in itertools.product(*pools) if any(v)]
+    size = min(100, len(grid))
+    n = draw(st.integers(21, size) | st.just(size))
+    return draw(st.permutations(grid))[:n]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(large_exponent_families())
+def test_pruned_extrema_match_the_divisibility_scan_past_the_ceiling(vectors):
+    degrees = [sum(v) for v in vectors]
+    fast, slow = _pruned_extrema(vectors, degrees), _divisibility_extrema(vectors, degrees)
+    assert fast[0] == slow[0]
+    assert fast[1] == slow[1]
+
+
+def test_pruned_extrema_key_masks_by_exponent_past_any_list_size():
+    # Exponents near 10**400: a list indexed by exponent could not hold them.
+    vectors = [(HUGE, 0, 0), (0, 3, 0), (0, 0, 3), (HUGE - 1, 1, 1), (2, 1, 0), (1, 0, 2)]
+    degrees = [sum(v) for v in vectors]
+    extrema = _pruned_extrema(vectors, degrees)
+    assert extrema == _divisibility_extrema(vectors, degrees)
+    assert extrema == _brute_extrema(vectors, degrees)
 
 
 @st.composite

@@ -21,7 +21,6 @@ from syzstab.core import (
     is_primary,
 )
 from syzstab.monomial_stability import (
-    _divides,
     _meet_closure,
     _PathClosure,
     _vmeet,
@@ -37,6 +36,7 @@ from syzstab.search import (
     find_semistable_family,
 )
 from strategies import degree_vector
+from test_monomial_stability import _divides
 
 ACCEPTED = {
     "semistable": (VerdictKind.STABLE, VerdictKind.SEMISTABLE_NOT_STABLE),

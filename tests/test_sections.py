@@ -260,6 +260,24 @@ def test_section_dim_of_single_terms_matches_the_product_count(case):
     assert syzygy_section_dim(family, m) == product_count_nullity(family, m)
 
 
+def test_single_term_families_compute_one_hilbert_numerator(monkeypatch):
+    # 100 distinct sextics in 5 variables at twist 40, above the Macaulay
+    # bound 26: one numerator at the twist answers it, so the maps at the
+    # bound are not ranked (that rule read the same 7245767 from two).
+    rng = random.Random(1)
+    family = mono_polys(*rng.sample(list(degree_vectors(5, 6)), 100))
+    sizes = []
+    original = sections._hilbert_numerator
+
+    def counted(vectors):
+        sizes.append(len(vectors))
+        return original(vectors)
+
+    monkeypatch.setattr(sections, "_hilbert_numerator", counted)
+    assert syzygy_section_dim(family, 40) == 7245767
+    assert sizes == [100]
+
+
 def divides_one_minus_t_power(numerator, k):
     """Whether (1 - t)^k divides the polynomial ``{degree: coefficient}``."""
     coeffs = [numerator.get(i, 0) for i in range(max(numerator, default=0) + 1)]
