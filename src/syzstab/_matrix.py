@@ -19,9 +19,17 @@ the matrix oriented to have no more rows than nonzero columns (a tall one is
 turned into its column dicts).
 
 Modulo ``PRIME`` each row is one integer with a 64-bit slot per nonzero
-column, the first column in the top slot: the row's residues are written into
-a zeroed array at the slots of its own nonzeros, and the array's bytes are
-read as one integer.  A row operation is one multiply-add on whole
+column: the row's residues are written into a zeroed array at the slots of
+its own nonzeros, and the array's bytes are read as one integer.  Slots
+follow the order in which the rows, taken as given, first reach the columns
+(within a row, in the row's own order, which is column order for every
+matrix built in this package), the first column reached in the top slot.  The
+rank does not depend on that order, but the work does: the evaluation maps
+of ``sections`` number their columns member by member, so in column order
+every row spans every member's block and each row operation carries fill
+across the whole width, while in first-appearance order the columns b*f_i
+are interleaved by the row of their leading product, which brings the map
+much nearer echelon form.  A row operation is one multiply-add on whole
 integers: v = (v - s * 2^(64 k)) + (PRIME - g) * tail clears leading slot k
 (value s) against the residues of the pivot row leading in slot k, where
 g = s / (that row's leading entry) mod PRIME.  Each operation adds less than
@@ -51,6 +59,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from itertools import chain
 from math import isqrt, lcm
 from operator import mul
 from typing import Mapping, Optional, Sequence
@@ -82,17 +91,18 @@ def integer_rank(rows: Sequence[Mapping[int, int]]) -> int:
     returned once a left-kernel certificate lifted from the same elimination
     checks exactly; otherwise fraction-free elimination decides.
     """
-    ncols = len(set().union(*rows))
-    full = min(len(rows), ncols)
+    slots = _slots(rows)
+    full = min(len(rows), len(slots))
     if not full:
         return 0
-    if len(rows) > ncols:
+    if len(rows) > len(slots):
         columns = _columns(rows)
         rows = [columns[j] for j in sorted(columns)]
-    rank, steps = _rank_mod_p(rows, full)
+        slots = _slots(rows)
+    rank, steps = _rank_mod_p(rows, full, slots)
     if rank == full or _kernel_certified(rows, steps):
         return rank
-    return _bareiss_rank(_dense(rows))
+    return _bareiss_rank(_dense(rows, slots))
 
 
 def _columns(rows: Sequence[Mapping[int, int]]) -> dict[int, dict[int, int]]:
@@ -105,25 +115,33 @@ def _columns(rows: Sequence[Mapping[int, int]]) -> dict[int, dict[int, int]]:
 
 
 def _slots(rows: Sequence[Mapping[int, int]]) -> dict[int, int]:
-    """Slot of each nonzero column, in column order; all-zero columns take none."""
-    return {j: s for s, j in enumerate(sorted(set().union(*rows)))}
+    """Slot of each nonzero column, in the order the rows first reach it
+    (within a row, in the row's order), which keeps the packed rows near
+    echelon form (module docstring); all-zero columns take none."""
+    columns = dict.fromkeys(chain.from_iterable(rows))
+    return dict(zip(columns, range(len(columns))))
 
 
-def _rank_mod_p(rows: Sequence[Mapping[int, int]], full: int) -> tuple[int, list[_Step]]:
+def _rank_mod_p(
+    rows: Sequence[Mapping[int, int]], full: int, slots: Optional[Mapping[int, int]] = None
+) -> tuple[int, list[_Step]]:
     """Rank modulo ``PRIME`` of sparse rows, stopping once it reaches
     ``full``, and the row operations that found it, one ``_Step`` per row
     reduced.
 
     Each row is packed into one integer, its residues written into a zeroed
-    64-bit array at the slots of its nonzero columns, so its leading column
-    is read off its bit length.  A row is reduced at its leading slot
-    against the pivot row that leads there, if any, by one multiply-add on
-    the whole integer.  A pivot row is kept as residues below ``PRIME``
-    without its leading entry, next to that entry's inverse, and the
-    multiplier recorded is the one of the pivot row scaled to a leading 1.
+    64-bit array at the ``slots`` of its nonzero columns (by default
+    ``_slots(rows)``, in the order the rows first reach them), so its
+    leading column is read off its bit length.  A row is reduced at its
+    leading slot against the pivot row that leads there, if any, by one
+    multiply-add on the whole integer.  A pivot row is kept as residues
+    below ``PRIME`` without its leading entry, next to that entry's inverse,
+    and the multiplier recorded is the one of the pivot row scaled to a
+    leading 1.
     """
     p = PRIME
-    slots = _slots(rows)
+    if slots is None:
+        slots = _slots(rows)
     width = len(slots)
     # One 1 per slot: (2^(64 w) - 1) / (2^64 - 1) = sum of 2^(64 k), k < w.
     ones = ((1 << 64 * width) - 1) // ((1 << 64) - 1)
@@ -143,7 +161,7 @@ def _rank_mod_p(rows: Sequence[Mapping[int, int]], full: int) -> tuple[int, list
     pivots: dict[int, tuple[int, int, int]] = {}
     steps: list[_Step] = []
     for row in rows:
-        # The first nonzero column goes to the top slot, the first word of
+        # The first column reached goes to the top slot, the first word of
         # the big-endian bytes.
         words = array("Q", zeros)
         for j, x in row.items():
@@ -244,9 +262,8 @@ def _lift(residues: list[int]) -> Optional[list[int]]:
     return [r * (denom // t) for r, t in fractions]
 
 
-def _dense(rows: Sequence[Mapping[int, int]]) -> list[list[int]]:
-    """Sparse rows as dense lists over their nonzero columns, in column order."""
-    slots = _slots(rows)
+def _dense(rows: Sequence[Mapping[int, int]], slots: Mapping[int, int]) -> list[list[int]]:
+    """Sparse rows as dense lists over their nonzero columns, in slot order."""
     dense = [[0] * len(slots) for _ in rows]
     for out, row in zip(dense, rows):
         for j, x in row.items():

@@ -37,15 +37,22 @@ If c_b = 0, that is I_b = R_b, then I_m contains R_{m-b} I_b = R_m for
 every m >= b.  Every primary family has c_b = 0: its ideal contains N+1
 general forms of I_D, a regular sequence of degree-D forms, and the complete
 intersection they generate contains every form of degree above (N+1)(D-1).
-If 0 < c_b <= b and c_{b+1} = c_b, then c_m = c_b for every m >= b by
-Gotzmann's persistence theorem (G. Gotzmann, Math. Z. 158, 1978; M. Green,
-"Generic initial ideals", 1998, Thm. 3.8): I is generated in degrees
-<= D <= b, the b-th Macaulay representation of c <= b is c binomials
-C(k, k) = 1, so c^<b> = c, and c_{b+1} = c_b^<b> is the theorem's hypothesis.
-Both checks are exact, so the rule is sound for every family.  The second
-case needs finitely many common zeros (a constant c is their number, counted
-with multiplicity) and at most b of them; any other family, for instance one
-with a curve of common zeros, is ranked at the twist.
+If c_b > 0, write it in its b-th Macaulay representation
+c_b = sum C(a_i, i), with a_b > a_{b-1} > ... and a_i >= i; Macaulay's
+theorem bounds c_{b+1} by c_b^<b> = sum C(a_i + 1, i + 1).  If c_{b+1}
+reaches that bound, then c_m = sum C(a_i + m - b, i + m - b) for every
+m >= b by Gotzmann's persistence theorem (G. Gotzmann, Math. Z. 158, 1978;
+M. Green, "Generic initial ideals", 1998, Thm. 3.8), whose hypothesis that
+I is generated in degrees <= b holds as D <= b.  Each term is
+C(a_i + t, a_i - i) with a small lower index, so it is cheap at any twist.
+A family with finitely many common zeros, at most b of them counted with
+multiplicity, is the case where every a_i = i: c_b is their number and
+c_b^<b> = c_b.  A family with a curve of common zeros can persist too:
+multiples of one linear form in 3 variables have c_m = m + 1 = C(m + 1, m),
+the Hilbert function of their line, from b on.  More than b common zeros
+never persist from b, since a constant c_b > b has c_b^<b> > c_b.  Both
+ranks are exact, so the rule is sound for every family; a family whose
+c_{b+1} falls short of the bound is ranked at the twist.
 """
 
 from __future__ import annotations
@@ -130,14 +137,16 @@ def syzygy_section_dim(family: FamilyLike, twist: int) -> int:
     b = (N+1)(D-1)+1 (largest member degree D) the map at b is ranked first;
     it misses c = dim R_b - rank dimensions.  With c = 0 the map is onto at
     every twist m >= b, and the dimension is the excess sum
-    dim R_{m-d_i} - dim R_m with no map built at m.  With 0 < c <= b the map
-    at b + 1 is ranked too: at m = b + 1 its nullity is the answer, and when
-    it misses c dimensions again the count c persists to every higher twist
-    (Gotzmann, module docstring), so the dimension is the excess plus c.
-    Primary families take the first branch; a family with at most b common
-    zeros, counted with multiplicity, takes the second once its count has
-    settled by b; any other family falls back to the rank at the twist.  A
-    single-term family is ranked at the twist directly: its Hilbert
+    dim R_{m-d_i} - dim R_m with no map built at m.  With c > 0 the map at
+    b + 1 is ranked too: at m = b + 1 its nullity is the answer, and when it
+    misses exactly c^<b> dimensions, the bound of Macaulay's theorem, the
+    count grows by Gotzmann persistence to sum C(a_i + m - b, i + m - b)
+    for the b-th Macaulay representation c = sum C(a_i, i) (module
+    docstring), so the dimension is the excess plus that count.  Primary
+    families take the first branch; a family with at most b common zeros,
+    or with a line of them, takes the second once its count has settled by
+    b; any other family falls back to the rank at the twist.
+    A single-term family is ranked at the twist directly: its Hilbert
     numerator answers any twist, so the maps at b and b + 1 would only
     compute it again.
     """
@@ -145,17 +154,47 @@ def syzygy_section_dim(family: FamilyLike, twist: int) -> int:
     polys, nvars = _as_polynomials(family)
     bound = max(0, nvars * (max(p.degree for p in polys) - 1) + 1)
     if twist > bound and any(len(p.terms) > 1 for p in polys):
-        gap = _dim(nvars, bound) - _map_rank(polys, nvars, bound)[1]
-        persists = gap == 0
-        if 0 < gap <= bound:
+        c_b = _dim(nvars, bound) - _map_rank(polys, nvars, bound)[1]
+        representation = _macaulay_representation(c_b, bound)
+        persists = not c_b
+        if c_b:
             columns, rank = _map_rank(polys, nvars, bound + 1)
             if twist == bound + 1:
                 return columns - rank
-            persists = _dim(nvars, bound + 1) - rank == gap
+            persists = _dim(nvars, bound + 1) - rank == _grown(representation, 1)
         if persists:
-            return sum(_dim(nvars, twist - p.degree) for p in polys) - _dim(nvars, twist) + gap
+            excess = sum(_dim(nvars, twist - p.degree) for p in polys) - _dim(nvars, twist)
+            return excess + _grown(representation, twist - bound)
     columns, rank = _map_rank(polys, nvars, twist)
     return columns - rank
+
+
+def _macaulay_representation(c: int, d: int) -> list[tuple[int, int]]:
+    """The d-th Macaulay representation c = sum C(a_i, i) of c >= 0, for
+    d >= 1, as its pairs (a_i, i): i runs down from d, a_d > a_{d-1} > ...
+    and a_i >= i, and c = 0 has no pairs.
+
+    Each a_i is the largest a with C(a, i) at most what is left of c; what
+    then remains is below C(a_i, i - 1), so the next a is below a_i and the
+    greedy ends by i = 1, where C(a, 1) = a.
+    """
+    pairs = []
+    i = d
+    while c:
+        a = i
+        while comb(a + 1, i) <= c:
+            a += 1
+        pairs.append((a, i))
+        c -= comb(a, i)
+        i -= 1
+    return pairs
+
+
+def _grown(pairs: list[tuple[int, int]], t: int) -> int:
+    """sum C(a_i + t, i + t) over the pairs of a d-th Macaulay
+    representation of c: c^<d> applied t times, which is the Hilbert
+    function t degrees past d once it persists (module docstring)."""
+    return sum(comb(a + t, i + t) for a, i in pairs)
 
 
 def _dim(nvars: int, m: int) -> int:

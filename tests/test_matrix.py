@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syzstab._matrix import PRIME, _kernel_vector_mod_p, _rank_mod_p
+from syzstab._matrix import PRIME, _bareiss_rank, _kernel_vector_mod_p, _rank_mod_p, integer_rank
 
 
 def sparse(rows):
@@ -63,6 +63,30 @@ def test_packed_rank_matches_the_reference(rows):
     rank, steps = _rank_mod_p(sparse(rows), full)
     assert rank == reference_rank_mod_p(rows)
     assert_steps_give_kernel_vectors(rows, steps)
+
+
+@st.composite
+def relabelled_residue_matrices(draw):
+    """A matrix of ``residue_matrices`` with its rows permuted, and its
+    sparse rows with the column keys relabelled by a random injection into
+    0..10^6, so keys have gaps and their order is not the order in which the
+    rows first reach the columns."""
+    rows = draw(st.permutations(draw(residue_matrices())))
+    width = len(rows[0])
+    keys = draw(st.lists(st.integers(0, 10**6), min_size=width, max_size=width, unique=True))
+    return rows, [{keys[j]: x for j, x in enumerate(row) if x} for row in rows]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(relabelled_residue_matrices())
+def test_packed_rank_does_not_depend_on_column_keys_or_row_order(case):
+    rows, relabelled = case
+    full = min(len(rows), len(rows[0]))
+    rank, steps = _rank_mod_p(relabelled, full)
+    assert rank == reference_rank_mod_p(rows)
+    assert_steps_give_kernel_vectors(rows, steps)
+    # wide and tall alike: 1-9 rows against 1-9 columns
+    assert integer_rank(relabelled) == _bareiss_rank(rows)
 
 
 @pytest.mark.parametrize("ops", [14, 15, 16, 31])

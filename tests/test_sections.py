@@ -472,15 +472,16 @@ def direct_nullity(family, twist):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(families_near_the_macaulay_bound())
 def test_section_dim_around_the_macaulay_bound_matches_direct_nullity(case):
-    """Above b the dimension is the excess plus c = dim (R/I)_b once that
-    count persists to b + 1; the nullity of the evaluation matrix computed by
-    Bareiss is the oracle.
+    """Above b the dimension is the excess plus c_m = dim (R/I)_m, grown
+    from c_b by its Macaulay representation once c_{b+1} reaches Macaulay's
+    bound; the nullity of the evaluation matrix computed by Bareiss is the
+    oracle.
 
-    The test c <= b and the comparison at b + 1 are the hypotheses of
-    Gotzmann's persistence theorem, and both stay in ``syzygy_section_dim``
-    although no family drawn here trips either one alone: a copy of the rule
-    without the test c <= b, or without the comparison at b + 1, passes this
-    property too, while a copy that returns the excess without + c fails it.
+    The comparison at b + 1 is the hypothesis of Gotzmann's persistence
+    theorem, and it stays in ``syzygy_section_dim`` although no family drawn
+    here trips it: a copy of the rule without it passes this property (the
+    ``fallback`` case of ``test_families_near_the_bound_reach_every_branch``
+    fails it), while a copy that keeps c_m = c_b, as when c_b <= b, fails it.
     """
     family, m = case
     assert syzygy_section_dim(family, m) == direct_nullity(family, m)
@@ -501,7 +502,8 @@ def branch_above(case):
     c = quotient_dim(family, b)
     if c == 0:
         return "onto"
-    return "persists" if c <= b and quotient_dim(family, b + 1) == c else "fallback"
+    grown = sections._grown(sections._macaulay_representation(c, b), 1)
+    return "persists" if quotient_dim(family, b + 1) == grown else "fallback"
 
 
 @pytest.mark.parametrize("branch", ["onto", "persists", "fallback"])
@@ -562,21 +564,85 @@ def test_quintics_with_one_common_zero_persist_from_the_bound(monkeypatch):
         assert dim == direct_nullity(ONE_POINT_QUINTICS, twist)
 
 
-def test_quintics_with_a_common_linear_factor_fall_back_to_the_twist(monkeypatch):
-    # Multiples of X - Y vanish on a line: dim (R/I)_13 = 14 + dim (R/J)_12
-    # for the ideal J of the quartic cofactors, which is above b = 13, so the
-    # 276-row map at twist 22 is ranked after the one at b.
-    family = [
-        times_x0_minus_x1((1, (4, 0, 0)), (2, (0, 2, 2))),
-        times_x0_minus_x1((1, (0, 4, 0)), (-1, (0, 0, 4)), (1, (1, 1, 2))),
-        times_x0_minus_x1((1, (0, 0, 4)), (3, (2, 1, 1))),
-        times_x0_minus_x1((1, (3, 1, 0)), (-1, (1, 0, 3))),
-    ]
+# Every member is a multiple of X - Y, so they vanish on the line X = Y.
+LINEAR_FACTOR_QUINTICS = [
+    times_x0_minus_x1((1, (4, 0, 0)), (2, (0, 2, 2))),
+    times_x0_minus_x1((1, (0, 4, 0)), (-1, (0, 0, 4)), (1, (1, 1, 2))),
+    times_x0_minus_x1((1, (0, 0, 4)), (3, (2, 1, 1))),
+    times_x0_minus_x1((1, (3, 1, 0)), (-1, (1, 0, 3))),
+]
+
+
+def test_quintics_with_a_common_linear_factor_persist_from_the_bound(monkeypatch):
+    # dim (R/I)_13 = 14 + dim (R/J)_12 for the ideal J of the quartic
+    # cofactors, and J_12 = R_12, so c_13 = 14 = C(14, 13) is above b = 13.
+    # The map at b + 1 (120 rows) misses c_14 = 15 = C(15, 14), Macaulay's
+    # bound, so c_m = C(m + 1, m) = m + 1, the Hilbert function of the line,
+    # and twist 22 (276 rows) is the excess plus 23.
     ranked = ranked_row_counts(monkeypatch)
-    dim = syzygy_section_dim(family, 22)
-    assert ranked == [105, 276]
-    assert dim > 4 * comb(19, 2) - comb(24, 2) + 13
-    assert dim == direct_nullity(family, 22)
+    dim = syzygy_section_dim(LINEAR_FACTOR_QUINTICS, 22)
+    assert ranked == [105, 120]
+    assert dim == 4 * comb(19, 2) - comb(24, 2) + 23
+    assert dim == direct_nullity(LINEAR_FACTOR_QUINTICS, 22)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 13])
+def test_macaulay_representation_is_the_greedy_one(d):
+    # c = sum C(a_i, i) with i from d down, a_d > a_{d-1} > ... and a_i >= i
+    # determines the pairs, so these properties check every representation.
+    for c in range(200):
+        pairs = sections._macaulay_representation(c, d)
+        assert sum(comb(a, i) for a, i in pairs) == c
+        assert [i for _, i in pairs] == list(range(d, d - len(pairs), -1))
+        assert all(a >= i for a, i in pairs)
+        assert all(a > b for (a, _), (b, _) in zip(pairs, pairs[1:]))
+    # c <= d is c binomials C(i, i), which c -> c^<d> keeps at c
+    for c in range(d + 1):
+        pairs = sections._macaulay_representation(c, d)
+        assert all(a == i for a, i in pairs)
+        assert sections._grown(pairs, 7) == c
+    # the dimensions of a degree-d space of forms grow as its next one
+    for nvars in range(1, 4):
+        pairs = sections._macaulay_representation(comb(d + nvars - 1, d), d)
+        assert sections._grown(pairs, 1) == comb(d + nvars, d + 1)
+
+
+@st.composite
+def families_with_a_curve_of_common_zeros(draw):
+    """2-4 forms with a common zero set of positive dimension: multiples of
+    X_0 - X_1 in 3 or 4 variables, which vanish on a hyperplane, or, in 4
+    variables, forms of 2-3 terms each divisible by X_0 or X_1, which vanish
+    on the line X_0 = X_1 = 0.  Degrees 1-3 in 3 variables and 1-2 in 4, so
+    the map at the Macaulay bound b + 4 stays small."""
+    nvars = draw(st.integers(3, 4))
+    top = 3 if nvars == 3 else 2
+    on_a_line = nvars == 4 and draw(st.booleans())
+    coeff = st.integers(-3, 3).filter(bool)
+    family = []
+    for _ in range(draw(st.integers(2, 4))):
+        d = draw(st.integers(1, top))
+        if on_a_line:
+            vectors = [v for v in degree_vectors(nvars, d) if v[0] or v[1]]
+            chosen = draw(st.lists(st.sampled_from(vectors), min_size=2, max_size=3, unique=True))
+            family.append(poly(*((draw(coeff), v) for v in chosen)))
+        else:
+            vectors = list(degree_vectors(nvars, d - 1))
+            chosen = draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=3, unique=True))
+            family.append(times_x0_minus_x1(*((draw(coeff), v) for v in chosen)))
+    return family
+
+
+@example(LINEAR_FACTOR_QUINTICS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(families_with_a_curve_of_common_zeros())
+def test_section_dim_past_the_bound_with_a_curve_of_zeros_matches_the_rank_at_the_twist(family):
+    """The rule above b against the nullity of the map ranked at each twist
+    b + 1 .. b + 4; ``integer_rank`` is checked against Bareiss elsewhere."""
+    b = macaulay_bound(family)
+    N = family[0].nvars - 1
+    for m in range(b + 1, b + 5):
+        columns = sum(len(monomial_basis(N, m - p.degree)) for p in family)
+        assert syzygy_section_dim(family, m) == columns - integer_rank(evaluation_matrix(family, m))
 
 
 def test_section_dim_monotone_once_positive():
