@@ -27,6 +27,14 @@ destabilizing line subsheaf; absence of sections below the slope bound
 certifies semistability for sheaves of rank 2 and (with a degree hypothesis)
 rank 3.
 
+The section dimension never falls as the twist grows, for every family in
+at least one variable: multiplying a twist-m syzygy (a_1, ..., a_n) by a
+variable x gives the twist-(m+1) syzygy (x a_1, ..., x a_n), and this map
+is injective because R is a domain.  The low-rank scans use this lemma:
+they rank the lowest twist of their range, then the highest, and bisect
+between the two only when the highest has a section and the lowest has
+none, so a Semistable scan ranks two twists however long its range is.
+
 When some member has several terms, at most two ranks decide every twist
 above the Macaulay bound b = (N+1)(D-1)+1 (N+1 variables, largest member
 degree D); single-term families need no such rule, as one Hilbert numerator
@@ -295,16 +303,37 @@ def _scan_for_section(polys: list[Polynomial], rank: int) -> Optional[StabilityV
     """Unstable, witnessed by the first twist m with a section and
     rank * m < d_1 + ... + d_n, or None when there is no such twist.
 
-    Twists below the smallest member degree have empty component spaces, so
-    the scan starts there; negative twists are vacuous by homogeneity.
+    The twists run from lo, the smallest member degree (below it every
+    component space is empty; negative twists are vacuous by homogeneity),
+    to top, the largest m with rank * m < d_1 + ... + d_n.  The section
+    dimension never falls as the twist grows (module docstring), so lo is
+    ranked first and a section there ends the scan; otherwise top is ranked,
+    and no section there means none in the range.  Otherwise the first twist
+    with a section lies in (lo, top], and bisection finds it: each step ranks
+    the midpoint of an interval with no section at its left end and a
+    section at its right end.  So at most 2 + ceil(log2(top - lo)) twists are
+    ranked, and a Semistable scan ranks at most 2.  The witness is the first
+    twist with a section and its dimension, as a scan of every twist in
+    order would find them.
     """
     total = sum(p.degree for p in polys)
-    for m in range(max(0, min(p.degree for p in polys)), -(-total // rank)):
-        dim = syzygy_section_dim(polys, m)
-        if dim > 0:
-            witness = SectionWitness(m, dim, rank * m - total)
-            return StabilityVerdict(VerdictKind.UNSTABLE, witness, ("destabilizing-section",))
-    return None
+    lo, top = max(0, min(p.degree for p in polys)), -(-total // rank) - 1
+    if lo > top:
+        return None
+    m, dim = lo, syzygy_section_dim(polys, lo)
+    if not dim and top > lo:
+        m, dim = top, syzygy_section_dim(polys, top)
+        # no section at lo and dim of them at m: halve (lo, m] until adjacent
+        while dim and m - lo > 1:
+            mid = (lo + m) // 2
+            if mid_dim := syzygy_section_dim(polys, mid):
+                m, dim = mid, mid_dim
+            else:
+                lo = mid
+    if not dim:
+        return None
+    witness = SectionWitness(m, dim, rank * m - total)
+    return StabilityVerdict(VerdictKind.UNSTABLE, witness, ("destabilizing-section",))
 
 
 def rank2_verdict(f1: Polynomial, f2: Polynomial, f3: Polynomial) -> StabilityVerdict:
@@ -313,7 +342,10 @@ def rank2_verdict(f1: Polynomial, f2: Polynomial, f3: Polynomial) -> StabilityVe
     A section at a twist m with 2m < d1+d2+d3 has positive slope relative to
     the sheaf and certifies Unstable; no section below that bound certifies
     Semistable.  The scan over integer twists covers the bound exactly, so
-    the answer is always one of the two.
+    the answer is always one of the two.  By monotonicity in the twist
+    (module docstring) a Semistable answer ranks only the lowest and the top
+    twist, and the Unstable witness is the first twist with a section,
+    found by bisection when the lowest twist has none.
     """
     polys, nvars = _as_polynomials([f1, f2, f3])
     if nvars < 3:
@@ -335,6 +367,9 @@ def rank3_verdict(
     such section exists and additionally 2*d4 <= d1+d2+d3 (largest degree
     d4), the dual sheaf has no destabilizing cosection either, certifying
     Semistable; without that inequality the scan alone is Inconclusive.
+    The scan ranks the lowest and the top twist below 3m < d1+...+d4 and
+    bisects between them for the first section only when the top twist has
+    one (module docstring), as for ``rank2_verdict``.
 
     The Semistable branch needs the members to generate a primary ideal
     (the dual-sequence argument needs an empty common zero locus).  That is

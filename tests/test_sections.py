@@ -14,6 +14,8 @@ from syzstab.core import (
     MonomialFamily,
     Polynomial,
     PreconditionError,
+    SectionWitness,
+    StabilityVerdict,
     VerdictKind,
     is_primary,
 )
@@ -656,6 +658,137 @@ def test_section_dim_monotone_once_positive():
         if d > 0:
             started = True
         last = d
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(families_near_the_macaulay_bound())
+def test_section_dim_never_falls_as_the_twist_grows(case):
+    # x times a twist-m syzygy is a twist-(m+1) syzygy, nonzero as R is a
+    # domain; the drawn families include non-primary ones (common zeros)
+    # and ones with a common linear factor, and the twists run past b
+    family, _ = case
+    dims = [syzygy_section_dim(family, m) for m in range(macaulay_bound(family) + 3)]
+    assert dims == sorted(dims)
+
+
+def linear_scan_for_section(polys, rank):
+    """Oracle for ``sections._scan_for_section``: rank every twist from the
+    smallest member degree up to the slope bound, in order, and stop at the
+    first section."""
+    total = sum(p.degree for p in polys)
+    for m in range(max(0, min(p.degree for p in polys)), -(-total // rank)):
+        dim = syzygy_section_dim(polys, m)
+        if dim > 0:
+            witness = SectionWitness(m, dim, rank * m - total)
+            return StabilityVerdict(VerdictKind.UNSTABLE, witness, ("destabilizing-section",))
+    return None
+
+
+def recording(twists):
+    """``syzygy_section_dim`` that also appends each twist it ranks to ``twists``."""
+    original = sections.syzygy_section_dim
+
+    def counted(family, twist):
+        twists.append(twist)
+        return original(family, twist)
+
+    return counted
+
+
+def lowrank_outcome(family):
+    """The verdict of ``rank2_verdict`` or ``rank3_verdict``, or the
+    criterion of the precondition it refuses."""
+    try:
+        return (rank2_verdict if len(family) == 3 else rank3_verdict)(*family)
+    except PreconditionError as error:
+        return error.criterion
+
+
+@st.composite
+def lowrank_families(draw):
+    """3-4 members in 3 variables, each of degree 1-5 with coefficients in
+    +-1..+-3: forms of 1-4 terms; forms of 2-4 terms that all vanish at
+    (1:1:1) (a common zero); forms plus a multiple of a lowest-degree member
+    (a section at the lowest twist of the scan); or single terms (a monomial
+    family), half of those starting with pure powers of X, Y and Z."""
+    shape = draw(st.sampled_from(["polynomial", "common-zero", "lowest-twist", "monomial"]))
+    size = draw(st.integers(3, 4))
+    coeff = st.integers(-3, 3).filter(bool)
+    family = []
+    if shape == "monomial" and draw(st.booleans()):
+        family = [
+            poly((draw(coeff), tuple(e if i == j else 0 for i in range(3))))
+            for j, e in enumerate(draw(st.lists(st.integers(1, 5), min_size=3, max_size=3)))
+        ]
+    while len(family) < size - (shape == "lowest-twist"):
+        vectors = list(degree_vectors(3, draw(st.integers(1, 5))))
+        least = 2 if shape == "common-zero" else 1
+        most = 1 if shape == "monomial" else 4
+        chosen = draw(st.lists(st.sampled_from(vectors), min_size=least, max_size=most, unique=True))
+        terms = [(draw(coeff), v) for v in chosen]
+        if shape == "common-zero":
+            rest = sum(c for c, _ in terms[1:])
+            if not rest:
+                terms[1] = (2 * terms[1][0], terms[1][1])
+                rest = sum(c for c, _ in terms[1:])
+            terms[0] = (-rest, terms[0][1])
+        family.append(poly(*terms))
+    if shape == "lowest-twist":
+        low = min(family, key=lambda p: p.degree)
+        scale = draw(coeff)
+        family.append(poly(*((scale * c, m.exponents) for c, m in low.terms)))
+    return draw(st.permutations(family))
+
+
+# X^2 - YZ, its double and Z^3: a section at the lowest twist 2
+@example([poly((1, (2, 0, 0)), (-1, (0, 1, 1))), poly((2, (2, 0, 0)), (-2, (0, 1, 1))), poly((1, (0, 0, 3)))])
+@example(mono_polys((3, 0, 0), (1, 2, 0), (0, 2, 1)))
+@example(TENTH_POWERS + [P_MIXED])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lowrank_families())
+def test_lowrank_verdicts_match_the_linear_scan(family):
+    """The bisecting scan gives the verdict, notes and witness (twist,
+    section dimension, sheaf degree) of the scan of every twist in order,
+    and ranks at most 2 + ceil(log2(top - lo)) twists, at most 2 when it
+    finds no section.
+
+    In a copy of ``_scan_for_section`` that returns the top twist as the
+    witness, that skips the lowest twist, or that stops bisecting one twist
+    early, this property fails."""
+    with patch.object(sections, "_scan_for_section", linear_scan_for_section):
+        expected = lowrank_outcome(family)
+    ranked = []
+    with patch.object(sections, "syzygy_section_dim", recording(ranked)):
+        assert lowrank_outcome(family) == expected
+    if isinstance(expected, str):
+        return
+    lo = min(p.degree for p in family)
+    top = -(-sum(p.degree for p in family) // (len(family) - 1)) - 1
+    assert len(ranked) <= 2 + max(top - lo - 1, 0).bit_length()
+    if expected.witness is None:
+        assert len(ranked) <= 2
+
+
+def test_semistable_scan_ranks_the_lowest_and_the_top_twist(monkeypatch):
+    # X^20, Y^21, Z^22: the twists 20..31 lie below the slope bound 63/2 and
+    # have no section (the first, the Koszul relation of X^20 and Y^21, is
+    # at 41); a scan of every twist ranks all 12
+    twists = []
+    monkeypatch.setattr(sections, "syzygy_section_dim", recording(twists))
+    v = rank2_verdict(*mono_polys((20, 0, 0), (0, 21, 0), (0, 0, 22)))
+    assert v.kind == VerdictKind.SEMISTABLE
+    assert twists == [20, 31]
+
+
+def test_section_at_the_lowest_twist_ranks_one_twist(monkeypatch):
+    # X^2 - YZ and its double have the syzygy (2, -1, 0) at twist 2
+    twists = []
+    monkeypatch.setattr(sections, "syzygy_section_dim", recording(twists))
+    f = [(1, (2, 0, 0)), (-1, (0, 1, 1))]
+    v = rank2_verdict(poly(*f), poly(*((2 * c, e) for c, e in f)), poly((1, (0, 0, 3))))
+    assert v.kind == VerdictKind.UNSTABLE
+    assert v.witness == SectionWitness(2, 1, -3)
+    assert twists == [2]
 
 
 def test_rank_nullity_cross_check():
