@@ -19,6 +19,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .core import (
@@ -263,7 +264,51 @@ def verdict_json(v: StabilityVerdict) -> dict:
 
 
 def payload_dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """``payload`` as ``json.dumps(payload, indent=2) + "\\n"``, byte for byte.
+
+    The payload grammar is dicts with str keys, lists, str, int, bool and
+    None; anything else (a float, a tuple, a set) raises ``TypeError``.
+    Strings go through ``encode_basestring_ascii``, the escaping that
+    ``json.dumps`` uses by default.  With ``indent`` set, ``json.dumps``
+    takes the standard library's pure-Python encoder, whose nested
+    closures leave a reference cycle behind every call; this renderer is
+    one module-level recursion and leaves none.
+    """
+    return _render(payload, "\n") + "\n"
+
+
+def _render(x, newline: str) -> str:
+    """``x`` as ``json.dumps(indent=2)`` renders it after ``newline``, a
+    line break and the indentation of the line that holds ``x``."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = newline + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = []
+        for key, value in x.items():
+            if not isinstance(key, str):
+                raise TypeError(f"a JSON payload key must be a str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _render(value, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(x, list):
+        if not x:
+            return "[]"
+        if all(type(e) is int for e in x):
+            items = map(int.__repr__, x)
+        else:
+            items = [_render(e, inner) for e in x]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"{type(x).__name__} is not in the JSON payload grammar")
 
 
 # ---------------------------------------------------------------------------

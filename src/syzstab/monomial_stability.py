@@ -150,6 +150,13 @@ class _PathClosure:
     while the cap (deg gcd - n*d)/(n - 1) of ``violates`` never rises, as
     the gcd only shrinks.  Once ``num/den`` beats the cap at meet(base, v),
     the child violates, and so does every state below it.
+
+    ``children`` is the search's whole candidate scan at one node: the cap
+    test, then ``push`` and the child's ``violates`` for the candidates it
+    keeps.  It reads the layout words and the parent's ``num``, ``den`` and
+    ``base`` into locals once, so a ruled-out candidate, most of the scan,
+    costs a few integer operations with no method call or allocation.
+    ``capped``, ``push`` and ``violates`` are its per-candidate form.
     """
 
     __slots__ = ("layout", "chosen", "closure", "base", "num", "den")
@@ -182,7 +189,7 @@ class _PathClosure:
         return ((g * ones) >> top) & slot
 
     def meet(self, g: int, v: int) -> int:
-        _, _, w, guard, *_ = self.layout
+        w, guard = self.layout[2], self.layout[3]
         t = ((g | guard) - v) & guard  # guard bits of the slots where g >= v
         return g ^ ((g ^ v) & (t - (t >> (w - 1))))
 
@@ -240,10 +247,46 @@ class _PathClosure:
         cap = self.degree(self.meet(self.base, v)) - n * self.layout[1]
         return self.num * (n - 1) > cap * self.den
 
+    def children(
+        self, monos: list[int], more: Iterator[int], start: int, stop: int, n: int
+    ) -> Iterator[tuple[int, "_PathClosure"]]:
+        """(i, push(monos[i])) for each i in range(start, stop), in order,
+        whose child does not violate ``n``: the search's scan at this node.
+
+        ``monos`` holds the packed candidates so far and ``more`` packs the
+        rest; ``monos[i]`` is taken from ``more`` when the scan first reaches
+        i, so ``start`` is at most ``len(monos)``.  The child's gcd is
+        m = meet(base, v), so its cap deg m - n*d serves both the ``capped``
+        test and, after the push, the child's ``violates``.  At the root,
+        ``base`` is the word with every slot at 2^(w - 1) - 1, which meets v
+        in v, and num = den = 0, so no candidate is capped.
+        """
+        _, d, w, guard, ones, top, slot = self.layout
+        num, den, base = self.num, self.den, self.base
+        if base is None:
+            base = guard - ones
+        n1, nd, shift = n - 1, n * d, w - 1
+        bound = num * n1
+        push = self.push
+        for i in range(start, stop):
+            try:
+                v = monos[i]
+            except IndexError:
+                v = next(more)
+                monos.append(v)
+            t = ((base | guard) - v) & guard  # ``meet`` inlined
+            m = base ^ ((base ^ v) & (t - (t >> shift)))
+            cap = (((m * ones) >> top) & slot) - nd
+            if bound > cap * den:  # ``capped``
+                continue
+            child = push(v)
+            if child.num * n1 <= cap * child.den:  # not ``violates``
+                yield i, child
+
     def primary(self) -> bool:
         """Whether the reduction of the chosen members by ``base`` is primary
         (the word-level test of ``accepts``)."""
-        _, _, _, guard, ones, *_ = self.layout
+        guard, ones = self.layout[3], self.layout[4]
         covered = 0
         for v in self.chosen:
             nz = (((v - self.base) | guard) - ones) & guard  # nonzero slots

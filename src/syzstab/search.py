@@ -25,6 +25,15 @@ child violates and is skipped without a push.  The other children are
 pushed and tested in full, so the search visits exactly the nodes it would
 without this shortcut.
 
+The whole scan of a node's candidates, the cap test, the push and the
+child's violation test, runs inside ``_PathClosure.children``, which reads
+the word layout and the parent's running gcd and maximum into locals once
+per node.  Most candidates are ruled out there, so each costs a few integer
+operations with no method call or allocation, and the word layout stays
+known to ``_PathClosure`` alone.  This loop keeps the candidate order,
+hands the scan its lazily packed candidates and applies the primary-only
+rule.
+
 Candidates are packed into the closure's word layout as the loop first
 reaches them, so the set-up grows with the part of the list the search
 reaches, not with its length C(N + d, N).  One int holds an exponent vector,
@@ -115,15 +124,9 @@ def find_semistable_family(spec: SearchSpec) -> SearchResult:
     pure_at.append(total)
 
     def children(state: _PathClosure, start: int, have: int):
-        slots = n - len(state.chosen)
-        for i in range(start, total - slots + 1):
-            if i == len(monos):
-                monos.append(next(vectors))
-            if state.capped(monos[i], n):
-                continue
-            child = state.push(monos[i])
-            if not child.violates(n):
-                yield child, i + 1, have + (i == pure_at[have])
+        stop = total - n + len(state.chosen) + 1
+        for i, child in state.children(monos, vectors, start, stop, n):
+            yield child, i + 1, have + (i == pure_at[have])
 
     # ``have`` counts the chosen pure powers: a node that keeps the
     # primary-only rule holds exactly X_0^d, ..., X_(have-1)^d of them

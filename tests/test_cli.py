@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import io
 import json
@@ -10,12 +11,15 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import syzstab
 from syzstab import monomial_stability, sections
-from syzstab.cli import normalize_document, parse_monomial_text, run
+from syzstab.cli import normalize_document, parse_monomial_text, payload_dump, run
 from syzstab.core import MAX_VARIABLES
 from syzstab.monomial_stability import degree_vectors
+from strategies import degree_vector
 
 
 def capture(argv, stdin=None):
@@ -630,3 +634,132 @@ def test_search_at_the_variable_limit_runs():
     assert rc == 0
     result = json.loads(out)["result"]
     assert (result["status"], result["nodes"]) == ("Found", 3)
+
+
+# Quotes, backslashes, control characters, DEL, a line separator, non-ASCII
+# and astral characters (escaped as surrogate pairs), and a lone surrogate.
+_AWKWARD = st.sampled_from('"\\/\x00\x1f\x7f\b\f\n\r\t\u2028\xe9\u20ac\U0001f600\ud800')
+_STRINGS = st.text(st.one_of(_AWKWARD, st.characters()), max_size=8)
+_INTS = st.one_of(
+    st.integers(),
+    st.integers(10**3999, 10**4000 - 1).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+
+
+def _containers(inner):
+    return (
+        st.lists(_INTS, max_size=4)
+        | st.lists(inner, max_size=4)
+        | st.dictionaries(_STRINGS, inner, max_size=4)
+    )
+
+
+_PAYLOADS = st.recursive(st.none() | st.booleans() | _INTS | _STRINGS, _containers, max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_PAYLOADS)
+def test_payload_dump_matches_json_dumps(payload):
+    assert payload_dump(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1}, {1: "key not a str"}])
+def test_payload_dump_refuses_values_outside_the_grammar(value):
+    for payload in (value, {"result": [value]}):
+        with pytest.raises(TypeError):
+            payload_dump(payload)
+
+
+def test_json_request_leaves_no_reference_cycle():
+    # json.dumps(payload, indent=2) runs the pure-Python encoder, whose nested
+    # closures left a 33-object cycle behind every --json request
+    argvs = [
+        ["search", "--vars", "3", "--degree", "4", "--count", "5", "--json"],
+        ["check", "--monomials", "X^2,Y^2,X*Y", "--json"],
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in argvs:
+            assert capture(argv)[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# Sizes stay below the class of families that spend seconds in Bareiss
+# elimination (polynomials of degree <= 3 at twists <= 8 in <= 4 variables).
+_FAMILY_COMMANDS = ["check", "oracle", "sections", "lowrank", "bounds", "line-test", "report"]
+
+
+@st.composite
+def _family_source(draw, variables, low_rank):
+    """(flags, stdin) of one family: inline monomials, or a document of
+    2-14 monomials or of 2-4 polynomials of degree <= 3 with <= 4 terms;
+    3 or 4 members of either kind when ``low_rank``.  Half the families
+    have members of one degree, as the line test needs."""
+    kind = draw(st.sampled_from(["inline", "monomials", "polynomials"]))
+    degrees = st.integers(0, 3) if kind == "polynomials" else st.integers(1, 6)
+    if draw(st.booleans()):
+        degrees = st.just(draw(degrees))
+    low, high = (3, 4) if low_rank else (2, 4 if kind == "polynomials" else 14)
+    if kind == "polynomials":
+        polys = []
+        for _ in range(draw(st.integers(low, high))):
+            d = draw(degrees)
+            terms = draw(st.lists(degree_vector(variables, d), min_size=1, max_size=4, unique=True))
+            coefficients = st.tuples(st.integers(-3, 3).filter(bool), st.integers(1, 3))
+            polys.append({"terms": [[*draw(coefficients), list(v)] for v in terms]})
+        return [], json.dumps({"variables": variables, "polynomials": polys})
+    members = draw(st.lists(
+        degrees.flatmap(lambda e: degree_vector(variables, e)),
+        min_size=low, max_size=high, unique=True,
+    ))
+    if kind == "monomials":
+        return [], json.dumps({"variables": variables, "monomials": [list(v) for v in members]})
+    names = ["*".join(f"X{j}^{e}" for j, e in enumerate(v) if e) for v in members]
+    return ["--vars", str(variables), "--monomials", ",".join(names)], None
+
+
+@st.composite
+def cli_requests(draw):
+    """(argv, stdin) of one request without --json."""
+    command = draw(st.sampled_from(_FAMILY_COMMANDS + ["necessary", "search"]))
+    if command == "search":
+        argv = ["search", "--vars", str(draw(st.integers(1, 4))), "--degree",
+                str(draw(st.integers(1, 4))), "--count", str(draw(st.integers(2, 8))),
+                "--budget", str(draw(st.integers(1, 300)))]
+        argv += draw(st.sampled_from([[], ["--stable"]]))
+        return argv + draw(st.sampled_from([[], ["--primary-only"]])), None
+    variables = draw(st.integers(1, 4))
+    if command in ("bounds", "necessary", "report") and draw(st.booleans()):
+        degrees = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+        argv = [command, "--degrees", ",".join(map(str, degrees))]
+        return argv + draw(st.sampled_from([[], ["--vars", str(variables)]])), None
+    flags, stdin = draw(_family_source(variables, command == "lowrank"))
+    if command == "sections":
+        flags += ["--twist", str(draw(st.integers(-2, 8)))]
+    elif command == "line-test":
+        flags += draw(st.sampled_from(
+            [["--exhaustive"], *(["--trials", str(t)] for t in range(5))]
+        ))
+    return [command, *flags], stdin
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(cli_requests())
+def test_cli_requests_exit_cleanly_and_agree_across_formats(request):
+    argv, stdin = request
+    rc, text = capture(argv, stdin)
+    assert rc in (0, 1, 2)
+    rc_json, out = capture(argv + ["--json"], stdin)
+    assert rc_json == rc
+    if rc != 0:
+        return
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    result = payload["result"]
+    kinds = [result["verdict"]["kind"]] if result.get("verdict") else []
+    assert re.findall(r"verdict: (\w+) \[", text) == kinds
+    if "status" in result:
+        assert f": {result['status']} " in text.splitlines()[0]

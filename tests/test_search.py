@@ -294,6 +294,46 @@ def test_capped_child_violates(case):
         assert state.push(m).violates(n)
 
 
+def _per_candidate_children(state, monos, start, stop, n):
+    """The scan as one call per candidate: ``capped``, then ``push``, then
+    ``violates``; the oracle of ``_PathClosure.children``."""
+    for i in range(start, stop):
+        if state.capped(monos[i], n):
+            continue
+        child = state.push(monos[i])
+        if not child.violates(n):
+            yield i, child
+
+
+def _fields(state):
+    return state.chosen, state.closure, state.base, state.num, state.den
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(search_paths(), st.data())
+def test_children_scan_matches_per_candidate_loop(case, data):
+    # as in the search, the path is taken in candidate order and a node
+    # scans a range above its last member, with the candidates before some
+    # point already packed and the rest packed as the scan reaches them
+    variables, d, n, path = case
+    state = _PathClosure.root(variables, d)
+    monos = [state.pack(v) for v in degree_vectors(variables, d)]
+    indices = sorted(monos.index(state.pack(v)) for v in path)
+    for k in range(len(indices) + 1):
+        if k:
+            state = state.push(monos[indices[k - 1]])
+        low = indices[k - 1] + 1 if k else 0
+        start = data.draw(st.integers(low, len(monos)))
+        stop = data.draw(st.integers(start, len(monos)))
+        known = data.draw(st.integers(start, len(monos)))
+        packed = monos[:known]
+        rest = iter(monos[known:])
+        got = [(i, _fields(c)) for i, c in state.children(packed, rest, start, stop, n)]
+        want = [(i, _fields(c)) for i, c in _per_candidate_children(state, monos, start, stop, n)]
+        assert got == want
+        assert packed == monos[: max(known, stop)]
+
+
 def test_capped_fires_on_some_path():
     once = settings(max_examples=300, derandomize=True, database=None)
     find(search_paths(), lambda case: any(_capped_children(case)), settings=once)
