@@ -137,9 +137,9 @@ def syzygy_section_dim(family: FamilyLike, twist: int) -> int:
     degree-``twist`` part of the monomial ideal of the members, and its
     dimension is read off the Hilbert numerator of that ideal (module
     docstring), without building the matrix.  Otherwise ``integer_rank``
-    decides: a full rank mod ``_matrix.PRIME`` is exact, a deficient one is
-    exact once a lifted left-kernel certificate checks over the integers,
-    and Bareiss elimination runs only when that check fails.
+    decides: a full rank mod a prime is exact, and a deficient one is exact
+    once left-kernel vectors, combined over as many primes as their entries
+    need and lifted, check over the integers.
 
     When some member has several terms, above the Macaulay bound
     b = (N+1)(D-1)+1 (largest member degree D) the map at b is ranked first;

@@ -687,8 +687,8 @@ def test_json_request_leaves_no_reference_cycle():
         gc.enable()
 
 
-# Sizes stay below the class of families that spend seconds in Bareiss
-# elimination (polynomials of degree <= 3 at twists <= 8 in <= 4 variables).
+# Sizes stay small (polynomials of degree <= 3 at twists <= 8 in <= 4
+# variables), so the whole property runs in a few seconds.
 _FAMILY_COMMANDS = ["check", "oracle", "sections", "lowrank", "bounds", "line-test", "report"]
 
 

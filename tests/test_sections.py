@@ -28,7 +28,8 @@ from syzstab.sections import (
     rank3_verdict,
     syzygy_section_dim,
 )
-from syzstab._matrix import PRIME, _bareiss_rank, integer_rank
+from syzstab._matrix import PRIME, integer_rank
+from rank_oracle import bareiss_rank as _bareiss_rank
 
 
 def poly(*terms):
@@ -933,7 +934,8 @@ def forms_through_ones(draw):
     """Two quadrics in 3 variables, each a sum of three terms c (X^a - X^b)
     with c in +-1, +-2, so both vanish at (1:1:1), and a twist in 6..9.
     There their maps are deficient, and many have a left-kernel vector
-    beyond the one-prime lift bound, so Bareiss decides."""
+    beyond the one-prime lift bound, so their certificates take several
+    primes."""
     quadrics = list(degree_vectors(3, 2))
     family = []
     for _ in range(2):
@@ -983,7 +985,7 @@ def sparse_maps(draw):
 @given(sparse_maps())
 def test_integer_rank_of_sparse_rows_matches_bareiss_of_dense_rows(case):
     rows, dense = case
-    with patch.object(_matrix, "_kernel_certified", wraps=_matrix._kernel_certified) as certified:
+    with patch.object(_matrix, "_kernel_vector_mod_p", wraps=_matrix._kernel_vector_mod_p) as certified:
         rank = integer_rank(rows)
     assert rank == _bareiss_rank(dense)
     # A rank equal to min(rows, nonzero columns) whose minors are all below
@@ -996,15 +998,17 @@ def test_integer_rank_of_sparse_rows_matches_bareiss_of_dense_rows(case):
         assert not certified.called
 
 
-def count_bareiss_runs(monkeypatch) -> list:
-    runs = []
+def count_primes(monkeypatch) -> list:
+    """The prime of every elimination ``integer_rank`` runs from here on."""
+    primes = []
 
-    def counted(rows):
-        runs.append((len(rows), len(rows[0])))
-        return _bareiss_rank(rows)
+    def counted(rows, full, slots=None, p=PRIME):
+        primes.append(p)
+        return rank_mod_p(rows, full, slots, p)
 
-    monkeypatch.setattr(_matrix, "_bareiss_rank", counted)
-    return runs
+    rank_mod_p = _matrix._rank_mod_p
+    monkeypatch.setattr(_matrix, "_rank_mod_p", counted)
+    return primes
 
 
 def test_section_scan_through_the_bareiss_fallback(monkeypatch):
@@ -1012,13 +1016,13 @@ def test_section_scan_through_the_bareiss_fallback(monkeypatch):
     # twist 2 on the evaluation map misses R_m by one dimension mod 2, mod
     # PRIME and over Q.  The syzygy module is free on the Koszul relation of
     # degree 2, so the twist-m sections are R_{m-2}.
-    runs = count_bareiss_runs(monkeypatch)
+    primes = count_primes(monkeypatch)
     family = [poly((1, (1, 0, 0)), (-1, (0, 1, 0))), poly((1, (0, 1, 0)), (-1, (0, 0, 1)))]
     for m in range(1, 7):
         assert syzygy_section_dim(family, m) == comb(m, 2)
     # Evaluation at (1:1:1), the all-ones left-kernel vector, certifies each
-    # deficient rank, so Bareiss never runs.
-    assert runs == []
+    # deficient rank at the first prime.
+    assert set(primes) == {PRIME}
 
 
 def thin_product(nrows, ncols, k, seed):
@@ -1029,35 +1033,91 @@ def thin_product(nrows, ncols, k, seed):
 
 
 def test_deficient_rank_is_certified_in_both_orientations(monkeypatch):
-    runs = count_bareiss_runs(monkeypatch)
+    primes = count_primes(monkeypatch)
     wide = thin_product(6, 11, 3, seed=5)
     tall = [list(col) for col in zip(*wide)]
     assert _bareiss_rank(wide) == 3
     assert integer_rank(sparse(wide)) == integer_rank(sparse(tall)) == 3
-    assert runs == []
+    assert primes == [PRIME, PRIME]
 
 
-def test_kernel_entries_beyond_the_lift_bound_fall_back_to_bareiss(monkeypatch):
-    # the left kernel is spanned by (-N, 1); N exceeds sqrt(PRIME / 2), so no
-    # lift of -N mod PRIME checks and Bareiss decides
-    runs = count_bareiss_runs(monkeypatch)
+def test_kernel_entries_beyond_one_prime_lift_take_a_second_prime(monkeypatch):
+    # the left kernel is spanned by (-N, 1); N exceeds isqrt(PRIME // 2), so
+    # no lift of -N mod PRIME checks, and it lifts mod the product of two
+    # primes near 2^30
+    primes = count_primes(monkeypatch)
     N = 10**6
     assert integer_rank(sparse([[1, 2, 3], [N, 2 * N, 3 * N]])) == 1
-    assert len(runs) == 1
+    assert len(primes) == 2
 
 
-def test_unlucky_prime_falls_back_to_bareiss(monkeypatch):
-    # the first row vanishes mod PRIME (and the second mod 2), so both modular
-    # ranks are 1; the would-be kernel vector (1, 0) fails the exact check
-    runs = count_bareiss_runs(monkeypatch)
+def test_kernel_entries_of_forty_digits_lift_over_nine_primes(monkeypatch):
+    # -N lifts once isqrt(M // 2) >= N = 10^40, that is M > 2 * 10^80, which
+    # takes the product of 9 primes below 2^30 (2^267 > 2 * 10^80 > 2^266)
+    primes = count_primes(monkeypatch)
+    N = 10**40
+    assert integer_rank(sparse([[1, 2, 3], [N, 2 * N, 3 * N]])) == 1
+    assert len(primes) == 9 and len(set(primes)) == 9
+
+
+def test_unlucky_prime_is_dropped_for_the_next_prime(monkeypatch):
+    # the first row vanishes mod PRIME, so the rank mod PRIME is 1 and the
+    # would-be kernel vector (1, 0) fails the exact check; the next prime
+    # gives the full rank 2
+    primes = count_primes(monkeypatch)
     assert integer_rank(sparse([[PRIME, 2 * PRIME, 0], [0, 0, 2]])) == 2
-    assert len(runs) == 1
+    assert len(primes) == 2
+
+
+def test_unlucky_prime_between_lucky_ones_is_not_combined(monkeypatch):
+    # Rows 0 and 1 are the pivots over Q and row 2 = N * row 1.  Mod PRIME
+    # the kernel vector (0, -N, 1) does not lift; the first row vanishes mod
+    # the second prime, whose rank 1 is dropped; the third prime's residues,
+    # combined with PRIME's, lift to (0, -N, 1).
+    primes = count_primes(monkeypatch)
+    second = (1 << 30) - 41
+    N = 10**6
+    rows = [[second, 0, 0, 0], [0, 1, 2, 3], [0, N, 2 * N, 3 * N]]
+    assert integer_rank(sparse(rows)) == 2
+    assert [(1 << 30) - p for p in primes] == [35, 41, 83]
+
+
+def test_same_rank_with_earlier_dependent_rows_restarts_the_combination(monkeypatch):
+    # Row 0 = PRIME * row 1: mod PRIME row 0 is the dependent one, and its
+    # kernel vector (1, 0) fails the check.  Every other prime takes row 0 as
+    # the pivot, a later dependent row, which starts a new combination:
+    # (-1/PRIME, 1) lifts once isqrt(M // 2) >= PRIME, after 3 more primes.
+    primes = count_primes(monkeypatch)
+    assert integer_rank(sparse([[PRIME, PRIME], [1, 1]])) == 1
+    assert [(1 << 30) - p for p in primes] == [35, 41, 83, 101]
+
+
+# A quartic monomial and two linear forms in 4 variables, with common zeros
+# such as (0 : -15 : 8 : -21): from twist 4 on the kernel entries of their
+# evaluation maps outgrow the one-prime lift bound.
+FOUR_POINTS = [
+    poly((-3, (1, 0, 2, 1))),
+    poly(
+        (Fraction(-1), (1, 0, 0, 0)),
+        (Fraction(-1, 3), (0, 1, 0, 0)),
+        (Fraction(-1, 3), (0, 0, 0, 1)),
+        (Fraction(-3, 2), (0, 0, 1, 0)),
+    ),
+    poly((1, (1, 0, 0, 0)), (-3, (0, 1, 0, 0)), (1, (0, 0, 0, 1)), (-3, (0, 0, 1, 0))),
+]
+
+
+@pytest.mark.parametrize("twist, dim, most_primes", [(4, 10, 2), (10, 242, 4), (13, 574, 5)])
+def test_four_common_points_rank_over_a_few_primes(monkeypatch, twist, dim, most_primes):
+    primes = count_primes(monkeypatch)
+    assert syzygy_section_dim(FOUR_POINTS, twist) == dim
+    assert len(primes) <= most_primes
 
 
 def test_rational_family_deficient_mod_2_is_certified_mod_p(monkeypatch):
     # scaled to integers, X/2 + Y/2 and X/3 - Y/3 become X + Y and X - Y,
     # equal mod 2; over Q the family is a change of coordinates of (X, Y, Z)
-    runs = count_bareiss_runs(monkeypatch)
+    primes = count_primes(monkeypatch)
     family = [
         poly((Fraction(1, 2), (1, 0, 0)), (Fraction(1, 2), (0, 1, 0))),
         poly((Fraction(1, 3), (1, 0, 0)), (Fraction(-1, 3), (0, 1, 0))),
@@ -1066,7 +1126,7 @@ def test_rational_family_deficient_mod_2_is_certified_mod_p(monkeypatch):
     coordinates = mono_polys((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for m in range(1, 6):
         assert syzygy_section_dim(family, m) == syzygy_section_dim(coordinates, m)
-    assert runs == []
+    assert set(primes) == {PRIME}
 
 
 def test_rational_coefficient_family():
